@@ -144,26 +144,15 @@ def degree_chain_certificate(g: Graph) -> Optional[DegreeChainCertificate]:
     D = max(deg)
     if d == D:
         raise ValueError("membership defined only for d < D (graph is regular)")
-    consecutive: dict[int, tuple[int, int]] = {}
-    counts: dict[int, int] = {}
-    for u, v in g.edges:
-        a, b = deg[u], deg[v]
-        if a == b:
-            continue
-        if a > b:
-            a, b = b, a
-        if b - a != 1:
-            return None
-        counts[a] = counts.get(a, 0) + 1
-        if counts[a] > 1:
-            return None
-        consecutive[a] = (u, v)
-    if any(i not in consecutive for i in range(d, D)):
+    # Unequal keys are distinct pairs inside [d, D]; D - d of them, all of
+    # the form (i, i + 1), cover every i in [d, D - 1] once, which also makes
+    # every degree class in [d, D] nonempty.
+    pairs = g.pair_counts
+    cross = [(i, j) for i, j in pairs if i != j]
+    if len(cross) != D - d or any(j != i + 1 or pairs[(i, j)] != 1
+                                  for i, j in cross):
         return None
-    # every class in [d, D] is nonempty: forced by the cross edges plus the
-    # degree extremes, but cheap to confirm
-    present = set(deg)
-    if any(i not in present for i in range(d, D + 1)):
-        return None
+    consecutive = {min(deg[u], deg[v]): (u, v)
+                   for u, v in g.edges if deg[u] != deg[v]}
     return DegreeChainCertificate(
         d=d, D=D, cross_edges=tuple(consecutive[i] for i in range(d, D)))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cache
 from multiprocessing import Pool
 from typing import Iterator, Optional
 
@@ -26,7 +27,8 @@ from .constructions import build_degree_chain, degree_chain_certificate
 from .graphs import Graph, _graph_unchecked, biregular_certificate, is_connected, to_graph6
 from .index import IDENTITY_TOLERANCE, randic_deviation, randic_direct
 
-#: Hard cap on the vertex count; n = 8 works but takes tens of minutes.
+#: Hard cap on the vertex count.  n = 8 works but adds about 252 million
+#: graphs to the scan, which takes hours.
 MAX_VERTICES = 8
 
 #: Seed for the random triples of the gap-positivity check.
@@ -61,9 +63,9 @@ def enumerate_graphs(n: int, *, connected: Optional[bool] = None,
 
     def rec(t: int) -> Iterator[Graph]:
         if t == total:
-            if connected is not None and _connected(n, edges) != connected:
-                return
-            yield _graph_unchecked(n, tuple(sorted(edges)), tuple(deg))
+            g = _graph_unchecked(n, tuple(sorted(edges)), tuple(deg))
+            if connected is None or is_connected(g) == connected:
+                yield g
             return
         u, v = pairs[t]
         ru = rem[u] = rem[u] - 1
@@ -85,27 +87,6 @@ def enumerate_graphs(n: int, *, connected: Optional[bool] = None,
         rem[v] += 1
 
     yield from rec(0)
-
-
-def _connected(n: int, edges: list[tuple[int, int]]) -> bool:
-    if n <= 1:
-        return True
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        x = stack.pop()
-        for w in adj[x]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                stack.append(w)
-    return count == n
 
 
 def canonical_graph6(g: Graph) -> str:
@@ -170,11 +151,24 @@ def _new_class_record() -> dict:
     }
 
 
-def _scan_partition(n: int, connected_only: bool, prefix: tuple[int, ...],
-                    slack_tol: float) -> dict[tuple[int, int], dict]:
+@cache
+def _bound_pair(n: int, d: int, D: int) -> tuple[float, float]:
+    # (lower, upper) for one class; at most a few hundred keys for n <= 8
+    return lower_bound(n, d, D), upper_bound(n, d, D)
+
+
+def _run(fn, tasks: list[tuple], jobs: int) -> list:
+    """fn(*task) for every task, on up to ``jobs`` worker processes, with the
+    results in task order."""
+    if jobs > 1 and len(tasks) > 1:
+        with Pool(min(jobs, len(tasks))) as pool:
+            return pool.starmap(fn, tasks, chunksize=1)
+    return [fn(*task) for task in tasks]
+
+
+def _scan_partition(n: int, connected_only: bool,
+                    prefix: tuple[int, ...]) -> dict[tuple[int, int], dict]:
     records: dict[tuple[int, int], dict] = {}
-    lb_cache: dict[tuple[int, int], float] = {}
-    ub_cache: dict[tuple[int, int], float] = {}
     gen = enumerate_graphs(n, connected=True if connected_only else None,
                            min_degree=1, prefix=prefix)
     for g in gen:
@@ -187,8 +181,7 @@ def _scan_partition(n: int, connected_only: bool, prefix: tuple[int, ...],
         rec = records.get((d, D))
         if rec is None:
             rec = records[(d, D)] = _new_class_record()
-            lb_cache[(d, D)] = lower_bound(n, d, D)
-            ub_cache[(d, D)] = upper_bound(n, d, D)
+        lb, ub = _bound_pair(n, d, D)
         rec["count"] += 1
         if value < rec["min_r"]:
             rec["min_r"] = value
@@ -204,12 +197,12 @@ def _scan_partition(n: int, connected_only: bool, prefix: tuple[int, ...],
             c6 = canonical_graph6(g)
             if c6 < rec["argmax"]:
                 rec["argmax"] = c6
-        if value < lb_cache[(d, D)] - slack_tol:
+        if value < lb - SLACK_TOLERANCE:
             rec["lower_violations"] += 1
         if biregular_certificate(g) is not None:
             rec["lower_witnesses"] += 1
         if connected_only or is_connected(g):
-            if value > ub_cache[(d, D)] + slack_tol:
+            if value > ub + SLACK_TOLERANCE:
                 rec["upper_violations"] += 1
             if degree_chain_certificate(g) is not None:
                 rec["upper_witnesses"] += 1
@@ -232,11 +225,6 @@ def _merge_class_records(into: dict, other: dict) -> None:
             dst[field] += rec[field]
 
 
-def _scan_worker(args) -> dict:
-    n, connected_only, prefix, slack_tol = args
-    return _scan_partition(n, connected_only, tuple(prefix), slack_tol)
-
-
 def _prefix_tasks(n: int, jobs: int) -> list[tuple[int, ...]]:
     total = n * (n - 1) // 2
     if jobs <= 1 or total == 0:
@@ -246,26 +234,22 @@ def _prefix_tasks(n: int, jobs: int) -> list[tuple[int, ...]]:
             for idx in range(2 ** k)]
 
 
-def extremal_scan(n_max: int, connected_only: bool = False, jobs: int = 1,
-                  slack_tolerance: float = SLACK_TOLERANCE) -> list[EnumerationSummary]:
+def extremal_scan(n_max: int, connected_only: bool = False,
+                  jobs: int = 1) -> list[EnumerationSummary]:
     """Scan all classes (n, d, D) with d < D for n <= n_max and report
     per-class extremal statistics.  Violation counts must come back zero."""
     if not 1 <= n_max <= MAX_VERTICES:
         raise ValueError(f"n_max must be in [1, {MAX_VERTICES}], got {n_max}")
+    tasks = [(n, connected_only, prefix) for n in range(2, n_max + 1)
+             for prefix in _prefix_tasks(n, jobs)]
+    merged: dict[int, dict[tuple[int, int], dict]] = {
+        n: {} for n in range(2, n_max + 1)}
+    for (n, _, _), part in zip(tasks, _run(_scan_partition, tasks, jobs)):
+        _merge_class_records(merged[n], part)
     summaries: list[EnumerationSummary] = []
-    for n in range(2, n_max + 1):
-        merged: dict[tuple[int, int], dict] = {}
-        tasks = [(n, connected_only, prefix, slack_tolerance)
-                 for prefix in _prefix_tasks(n, jobs)]
-        if jobs > 1 and len(tasks) > 1:
-            with Pool(jobs) as pool:
-                parts = pool.map(_scan_worker, tasks)
-        else:
-            parts = [_scan_worker(t) for t in tasks]
-        for part in parts:
-            _merge_class_records(merged, part)
-        for (d, D) in sorted(merged):
-            rec = merged[(d, D)]
+    for n, classes in merged.items():
+        for (d, D) in sorted(classes):
+            rec = classes[(d, D)]
             summaries.append(EnumerationSummary(
                 n=n, d=d, D=D,
                 class_count=rec["count"],
@@ -328,8 +312,6 @@ def _verify_partition(n: int, prefix: tuple[int, ...], identity_tol: float,
                       slack_tol: float) -> dict:
     counts = _new_verify_counts()
     root = math.sqrt(n - 1)
-    lb_cache: dict[tuple[int, int], float] = {}
-    ub_cache: dict[tuple[int, int], float] = {}
 
     def fail(name: str, g: Graph) -> None:
         entry = counts[name]
@@ -357,11 +339,7 @@ def _verify_partition(n: int, prefix: tuple[int, ...], identity_tol: float,
         if d == D:
             continue
 
-        key = (d, D)
-        lb = lb_cache.get(key)
-        if lb is None:
-            lb = lb_cache[key] = lower_bound(n, d, D)
-            ub_cache[key] = upper_bound(n, d, D)
+        lb, ub = _bound_pair(n, d, D)
 
         counts["decomposition"][0] += 1
         if decomposition_residual(g, tolerance=identity_tol) > identity_tol:
@@ -377,7 +355,6 @@ def _verify_partition(n: int, prefix: tuple[int, ...], identity_tol: float,
             fail("lower-equality", g)
 
         if is_connected(g):
-            ub = ub_cache[key]
             counts["upper-bound"][0] += 1
             if value > ub + slack_tol:
                 fail("upper-bound", g)
@@ -386,11 +363,6 @@ def _verify_partition(n: int, prefix: tuple[int, ...], identity_tol: float,
             if upper_equal != (degree_chain_certificate(g) is not None):
                 fail("upper-equality", g)
     return counts
-
-
-def _verify_worker(args) -> dict:
-    n, prefix, identity_tol, slack_tol = args
-    return _verify_partition(n, tuple(prefix), identity_tol, slack_tol)
 
 
 def _merge_verify_counts(into: dict, other: dict) -> None:
@@ -464,12 +436,7 @@ def verify_theorems(n_max: int, jobs: int = 1,
     for n in range(2, n_max + 1):
         tasks.extend((n, prefix, identity_tolerance, slack_tolerance)
                      for prefix in _prefix_tasks(n, jobs))
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(jobs) as pool:
-            parts = pool.map(_verify_worker, tasks)
-    else:
-        parts = [_verify_worker(t) for t in tasks]
-    for part in parts:
+    for part in _run(_verify_partition, tasks, jobs):
         _merge_verify_counts(merged, part)
     checks = [CheckResult(name, merged[name][0], merged[name][1], merged[name][2])
               for name in _CHECK_NAMES]

@@ -25,7 +25,8 @@ class Graph:
 
     Any iterable of vertex pairs is accepted; edges are normalized to
     ``(min, max)`` and sorted.  Self-loops, duplicates and out-of-range
-    labels are rejected.
+    labels are rejected.  ``degrees``, ``adjacency`` and the degree-pair
+    histogram ``pair_counts`` are computed on first use and cached.
     """
 
     n: int
@@ -69,6 +70,21 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         return tuple(tuple(a) for a in adj)
+
+    @cached_property
+    def pair_counts(self) -> dict[tuple[int, int], int]:
+        """Sparse degree-pair histogram: (i, j) with i <= j maps to the number
+        of edges whose endpoint degrees are {i, j}.  Shared by every caller,
+        so treat it as read-only."""
+        deg = self.degrees
+        counts: dict[tuple[int, int], int] = {}
+        for u, v in self.edges:
+            a, b = deg[u], deg[v]
+            if a > b:
+                a, b = b, a
+            key = (a, b)
+            counts[key] = counts.get(key, 0) + 1
+        return counts
 
     def relabel(self, perm: Iterable[int]) -> "Graph":
         """Return the graph with vertex v renamed to perm[v]."""
@@ -250,11 +266,7 @@ def degree_profile(g: Graph) -> DegreeProfile:
     for x in deg:
         sizes[x] += 1
     cross = {(i, j): 0 for i in range(d, D + 1) for j in range(i, D + 1)}
-    for u, v in g.edges:
-        a, b = deg[u], deg[v]
-        if a > b:
-            a, b = b, a
-        cross[(a, b)] += 1
+    cross.update(g.pair_counts)
     return DegreeProfile(d=d, D=D, class_sizes=sizes, cross_counts=cross)
 
 

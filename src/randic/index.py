@@ -43,16 +43,10 @@ def _checked_degrees(g: Graph) -> tuple[int, ...]:
 
 def randic_direct(g: Graph) -> RandicValue:
     """Sum 1/sqrt(d(u)*d(v)) over all edges uv."""
-    deg = _checked_degrees(g)
-    counts: dict[tuple[int, int], int] = {}
-    for u, v in g.edges:
-        a, b = deg[u], deg[v]
-        if a > b:
-            a, b = b, a
-        key = (a, b)
-        counts[key] = counts.get(key, 0) + 1
+    _checked_degrees(g)
+    counts = g.pair_counts
     value = math.fsum(c / math.sqrt(i * j) for (i, j), c in counts.items())
-    return RandicValue(value=value, pair_counts=counts)
+    return RandicValue(value=value, pair_counts=dict(counts))
 
 
 def randic_deviation(g: Graph) -> float:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import randic.enumeration
 from randic import (canonical_graph6, chain_grid_check, enumerate_graphs,
                     extremal_scan, gap_positivity_check, to_graph6,
                     verify_theorems)
@@ -139,9 +140,10 @@ def test_scan_includes_disconnected_when_not_restricted():
 
 
 def test_scan_worker_count_invariance():
-    serial = extremal_scan(5, connected_only=False, jobs=1)
-    parallel = extremal_scan(5, connected_only=False, jobs=3)
-    assert serial == parallel
+    for n, connected_only, jobs in ((5, False, 3), (6, True, 2)):
+        serial = extremal_scan(n, connected_only=connected_only, jobs=1)
+        parallel = extremal_scan(n, connected_only=connected_only, jobs=jobs)
+        assert serial == parallel
 
 
 def test_scan_rejects_large_n():
@@ -179,6 +181,32 @@ def test_verify_includes_edge_cases():
 
 def test_verify_worker_count_invariance():
     assert verify_theorems(4, jobs=1) == verify_theorems(4, jobs=2)
+    assert verify_theorems(5, jobs=1) == verify_theorems(5, jobs=3)
+
+
+def test_pool_never_larger_than_task_list(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool: records its size, runs inline."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks, chunksize=None):
+            return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(randic.enumeration, "Pool", RecordingPool)
+    # n = 2 and n = 3 split into 2 + 8 prefix tasks whatever jobs asks for
+    assert verify_theorems(3, jobs=64) == verify_theorems(3)
+    assert extremal_scan(3, jobs=64) == extremal_scan(3)
+    assert sizes == [10, 10]
 
 
 def test_verify_json_shape(verify4):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randic import (Graph, GraphFormatError, biregular_certificate,
-                    degree_multiset, degree_profile, format_edge_list,
-                    is_connected, parse_edge_list, parse_graph6, to_graph6)
+                    degree_chain_certificate, degree_multiset, degree_profile,
+                    format_edge_list, is_connected, parse_edge_list,
+                    parse_graph6, randic_direct, to_graph6)
 
 from conftest import (complete, complete_bipartite, cycle, disjoint_union,
                       naive_graphs, path, star)
@@ -193,6 +194,52 @@ def test_degree_profile_invariants(g):
         total += sum(p.cross_counts[(min(i, j), max(i, j))]
                      for j in range(p.d, p.D + 1) if j != i)
         assert total == i * p.class_sizes[i]
+
+
+def test_pair_histogram_consumers_match_edge_definitions():
+    # Every graph with no isolated vertex and n <= 6, recomputed edge by edge
+    # from the definitions: the pair histogram behind randic_direct, the
+    # zero-filled cross counts of degree_profile, and degree-chain membership.
+    for n in range(2, 7):
+        for g in naive_graphs(n, min_degree=1):
+            deg = g.degrees
+            d, D = min(deg), max(deg)
+            hist = {}
+            for u, v in g.edges:
+                key = tuple(sorted((deg[u], deg[v])))
+                hist[key] = hist.get(key, 0) + 1
+            assert randic_direct(g).pair_counts == hist
+
+            prof = degree_profile(g)
+            assert prof.cross_counts == {
+                (i, j): hist.get((i, j), 0)
+                for i in range(d, D + 1) for j in range(i, D + 1)}
+
+            if d == D:
+                with pytest.raises(ValueError):
+                    degree_chain_certificate(g)
+                continue
+            cross = [(u, v) for u, v in g.edges if deg[u] != deg[v]]
+            by_low = {i: [(u, v) for u, v in cross
+                          if min(deg[u], deg[v]) == i] for i in range(d, D)}
+            member = (all(abs(deg[u] - deg[v]) == 1 for u, v in cross)
+                      and all(len(es) == 1 for es in by_low.values()))
+            cert = degree_chain_certificate(g)
+            if member:
+                assert cert is not None
+                assert (cert.d, cert.D) == (d, D)
+                assert cert.cross_edges == tuple(by_low[i][0] for i in range(d, D))
+            else:
+                assert cert is None
+
+
+def test_returned_pair_counts_are_a_copy():
+    g = star(4)
+    first = randic_direct(g)
+    first.pair_counts[(1, 3)] = 99
+    first.pair_counts[(2, 2)] = 1
+    assert randic_direct(g).pair_counts == {(1, 3): 3}
+    assert degree_profile(g).cross_counts[(1, 3)] == 3
 
 
 # ── Connectivity ──────────────────────────────────────────────────────
