@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import Iterator
 
 from .bounds import SLACK_TOLERANCE, bounds_report
@@ -49,22 +50,22 @@ def _dump_json(obj) -> str:
     return json.dumps(_json_ready(obj), separators=(", ", ": "))
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
-
-
 def _read_graphs(path: str, fmt: str) -> Iterator[Graph]:
-    """Edge-list input holds a single graph; graph6 input one graph per line."""
-    text = _read_text(path)
-    if fmt == "edgelist":
-        yield parse_edge_list(text)
-        return
-    for line in text.splitlines():
-        if line.strip():
-            yield parse_graph6(line)
+    """Edge-list input holds a single graph; graph6 input one graph per line,
+    parsed as it is read, with errors prefixed by their line number."""
+    with (nullcontext(sys.stdin) if path == "-"
+          else open(path, "r", encoding="ascii")) as fh:
+        if fmt == "edgelist":
+            yield parse_edge_list(fh.read())
+            return
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                g = parse_graph6(line)
+            except GraphFormatError as exc:
+                raise GraphFormatError(f"line {lineno}: {exc}") from None
+            yield g
 
 
 def _pairs_text(counts: dict[tuple[int, int], int]) -> str:

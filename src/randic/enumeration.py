@@ -141,14 +141,16 @@ CSV_COLUMNS = ("n", "d", "D", "classCount", "minR", "maxR", "argmin", "argmax",
                "lowerEqualityWitnesses", "upperEqualityWitnesses")
 
 
+_COUNT_FIELDS = ("class_count", "lower_violations", "upper_violations",
+                 "lower_equality_witnesses", "upper_equality_witnesses")
+
+
 def _new_class_record() -> dict:
-    return {
-        "count": 0,
-        "min_r": math.inf, "argmin": "",
-        "max_r": -math.inf, "argmax": "",
-        "lower_violations": 0, "upper_violations": 0,
-        "lower_witnesses": 0, "upper_witnesses": 0,
-    }
+    # keyed by EnumerationSummary's own field names (all but n, d, D)
+    rec = dict.fromkeys(_COUNT_FIELDS, 0)
+    rec.update(min_randic=math.inf, argmin_graph6="",
+               max_randic=-math.inf, argmax_graph6="")
+    return rec
 
 
 @cache
@@ -182,47 +184,38 @@ def _scan_partition(n: int, connected_only: bool,
         if rec is None:
             rec = records[(d, D)] = _new_class_record()
         lb, ub = _bound_pair(n, d, D)
-        rec["count"] += 1
-        if value < rec["min_r"]:
-            rec["min_r"] = value
-            rec["argmin"] = canonical_graph6(g)
-        elif value == rec["min_r"]:
+        rec["class_count"] += 1
+        # the same (value, graph6) order as _merge_class_records, with
+        # canonical_graph6 run only on a new or tied extreme
+        if value <= rec["min_randic"]:
             c6 = canonical_graph6(g)
-            if c6 < rec["argmin"]:
-                rec["argmin"] = c6
-        if value > rec["max_r"]:
-            rec["max_r"] = value
-            rec["argmax"] = canonical_graph6(g)
-        elif value == rec["max_r"]:
+            if (value, c6) < (rec["min_randic"], rec["argmin_graph6"]):
+                rec["min_randic"], rec["argmin_graph6"] = value, c6
+        if value >= rec["max_randic"]:
             c6 = canonical_graph6(g)
-            if c6 < rec["argmax"]:
-                rec["argmax"] = c6
+            if (-value, c6) < (-rec["max_randic"], rec["argmax_graph6"]):
+                rec["max_randic"], rec["argmax_graph6"] = value, c6
         if value < lb - SLACK_TOLERANCE:
             rec["lower_violations"] += 1
         if biregular_certificate(g) is not None:
-            rec["lower_witnesses"] += 1
+            rec["lower_equality_witnesses"] += 1
         if connected_only or is_connected(g):
             if value > ub + SLACK_TOLERANCE:
                 rec["upper_violations"] += 1
             if degree_chain_certificate(g) is not None:
-                rec["upper_witnesses"] += 1
+                rec["upper_equality_witnesses"] += 1
     return records
 
 
 def _merge_class_records(into: dict, other: dict) -> None:
     for key, rec in other.items():
-        dst = into.get(key)
-        if dst is None:
-            into[key] = dict(rec)
-            continue
-        dst["count"] += rec["count"]
-        if (rec["min_r"], rec["argmin"]) < (dst["min_r"], dst["argmin"]):
-            dst["min_r"], dst["argmin"] = rec["min_r"], rec["argmin"]
-        if (-rec["max_r"], rec["argmax"]) < (-dst["max_r"], dst["argmax"]):
-            dst["max_r"], dst["argmax"] = rec["max_r"], rec["argmax"]
-        for field in ("lower_violations", "upper_violations",
-                      "lower_witnesses", "upper_witnesses"):
+        dst = into.setdefault(key, _new_class_record())
+        for field in _COUNT_FIELDS:
             dst[field] += rec[field]
+        if (rec["min_randic"], rec["argmin_graph6"]) < (dst["min_randic"], dst["argmin_graph6"]):
+            dst["min_randic"], dst["argmin_graph6"] = rec["min_randic"], rec["argmin_graph6"]
+        if (-rec["max_randic"], rec["argmax_graph6"]) < (-dst["max_randic"], dst["argmax_graph6"]):
+            dst["max_randic"], dst["argmax_graph6"] = rec["max_randic"], rec["argmax_graph6"]
 
 
 def _prefix_tasks(n: int, jobs: int) -> list[tuple[int, ...]]:
@@ -246,20 +239,8 @@ def extremal_scan(n_max: int, connected_only: bool = False,
         n: {} for n in range(2, n_max + 1)}
     for (n, _, _), part in zip(tasks, _run(_scan_partition, tasks, jobs)):
         _merge_class_records(merged[n], part)
-    summaries: list[EnumerationSummary] = []
-    for n, classes in merged.items():
-        for (d, D) in sorted(classes):
-            rec = classes[(d, D)]
-            summaries.append(EnumerationSummary(
-                n=n, d=d, D=D,
-                class_count=rec["count"],
-                min_randic=rec["min_r"], max_randic=rec["max_r"],
-                argmin_graph6=rec["argmin"], argmax_graph6=rec["argmax"],
-                lower_violations=rec["lower_violations"],
-                upper_violations=rec["upper_violations"],
-                lower_equality_witnesses=rec["lower_witnesses"],
-                upper_equality_witnesses=rec["upper_witnesses"]))
-    return summaries
+    return [EnumerationSummary(n=n, d=d, D=D, **classes[(d, D)])
+            for n, classes in merged.items() for (d, D) in sorted(classes)]
 
 
 @dataclass(frozen=True)

@@ -302,54 +302,43 @@ class BiregularCertificate:
 def biregular_certificate(g: Graph) -> Optional[BiregularCertificate]:
     """Return a biregular certificate, or None when the graph has none.
 
-    The graph must be bipartite and each side degree-uniform.  Disconnected
-    graphs qualify only when every component admits a two-coloring with the
-    same global degree pair (a, b); each component is oriented with its
-    smaller degree on the a-side.  Graphs with a degree-0 vertex never
-    qualify (the degenerate (0, b) reading is not useful here).
+    With d < D the minimum and maximum degree, the graph is biregular iff
+    every edge joins a degree-d vertex to a degree-D vertex, which the
+    degree-pair histogram records: the parts are the two degree classes
+    and no traversal is needed.  A regular graph qualifies iff it is
+    bipartite; each component's lowest-labeled vertex goes on the first
+    side.  Graphs with a degree-0 vertex never qualify (the degenerate
+    (0, b) reading is not useful here).
     """
-    if g.n == 0 or not g.edges:
+    if not g.edges:
         return None
     deg = g.degrees
-    if min(deg) == 0:
-        return None
-    adj = g.adjacency
-    color = [-1] * g.n
-    part_a: list[int] = []
-    part_b: list[int] = []
-    pair: Optional[tuple[int, int]] = None
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        side = ([start], [])
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    side[color[w]].append(w)
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    return None  # odd cycle
-        degs0 = {deg[v] for v in side[0]}
-        degs1 = {deg[v] for v in side[1]}
-        if len(degs0) != 1 or len(degs1) != 1:
+    d, D = min(deg), max(deg)
+    if d < D:
+        # a degree-0 vertex has no edge, so its degree never shows as a key
+        if g.pair_counts.keys() != {(d, D)}:
             return None
-        a_c, b_c = degs0.pop(), degs1.pop()
-        low, high = (side[0], side[1]) if a_c <= b_c else (side[1], side[0])
-        this = (min(a_c, b_c), max(a_c, b_c))
-        if pair is None:
-            pair = this
-        elif pair != this:
-            return None
-        part_a.extend(low)
-        part_b.extend(high)
-    assert pair is not None
+        side = [x == D for x in deg]
+    else:
+        adj = g.adjacency
+        side = [None] * g.n
+        for start in range(g.n):
+            if side[start] is not None:
+                continue
+            side[start] = False
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                for w in adj[u]:
+                    if side[w] is None:
+                        side[w] = not side[u]
+                        stack.append(w)
+                    elif side[w] == side[u]:
+                        return None  # odd cycle
     return BiregularCertificate(
-        a=pair[0], b=pair[1],
-        parts=(tuple(sorted(part_a)), tuple(sorted(part_b))))
+        a=d, b=D,
+        parts=(tuple(v for v in range(g.n) if not side[v]),
+               tuple(v for v in range(g.n) if side[v])))
 
 
 def degree_multiset(g: Graph) -> dict[int, int]:

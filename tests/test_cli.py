@@ -45,6 +45,14 @@ def test_compute_graph6_stream(capsys, monkeypatch):
     assert lines[1].startswith("n=4 m=6 randic=2 ")         # K4
 
 
+def test_graph6_error_names_its_line(capsys, monkeypatch):
+    code, out, err = run(capsys, ["compute", "--format", "graph6"],
+                         stdin="Dhc\nbad!\n", monkeypatch=monkeypatch)
+    assert code == 2
+    assert "line 2:" in err
+    assert out.startswith("n=5 m=5 randic=2.5 ")  # C5 streamed out first
+
+
 def test_compute_json(capsys, monkeypatch):
     code, out, _ = run(capsys, ["compute", "--json"], stdin=STAR4_EDGELIST,
                        monkeypatch=monkeypatch)

@@ -288,9 +288,78 @@ def test_biregular_disconnected():
     cert = biregular_certificate(two_stars)
     assert (cert.a, cert.b) == (1, 3)
     assert set(cert.parts[1]) == {0, 4}
+    cert = biregular_certificate(disjoint_union(path(3), path(3)))
+    assert (cert.a, cert.b, cert.parts) == (1, 2, ((0, 2, 3, 5), (1, 4)))
+    # two interleaved C4s, 0-3-4-7 and 1-2-6-5: each is oriented on its own
+    two_c4 = Graph(8, ((0, 3), (3, 4), (4, 7), (0, 7),
+                       (1, 2), (2, 6), (5, 6), (1, 5)))
+    cert = biregular_certificate(two_c4)
+    assert (cert.a, cert.b, cert.parts) == (2, 2, ((0, 1, 4, 6), (2, 3, 5, 7)))
     # mixed degree pairs across components do not qualify
     assert biregular_certificate(disjoint_union(star(4), cycle(4))) is None
     assert biregular_certificate(disjoint_union(star(4), Graph(2, ((0, 1),)))) is None
+    assert biregular_certificate(disjoint_union(star(4), star(3))) is None
+
+
+def _brute_force_degree_pairs(g):
+    """Every (a, b) with 1 <= a <= b such that some proper two-coloring of g
+    puts only degree-a vertices on side 0 and only degree-b ones on side 1,
+    found by trying all 2^n colorings."""
+    deg = g.degrees
+    found = set()
+    for mask in range(2 ** g.n):
+        if any((mask >> u & 1) == (mask >> v & 1) for u, v in g.edges):
+            continue
+        side0 = {deg[v] for v in range(g.n) if not mask >> v & 1}
+        side1 = {deg[v] for v in range(g.n) if mask >> v & 1}
+        if len(side0) == len(side1) == 1 and 1 <= min(side0) <= min(side1):
+            found.add((min(side0), min(side1)))
+    return found
+
+
+def _components(g):
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges:
+        root[find(u)] = find(v)
+    comps = {}
+    for v in range(g.n):
+        comps.setdefault(find(v), []).append(v)
+    return list(comps.values())
+
+
+def test_biregular_matches_brute_force_colorings():
+    for n in range(6):
+        for g in naive_graphs(n):
+            cert = biregular_certificate(g)
+            found = _brute_force_degree_pairs(g)
+            assert bool(found) == (cert is not None), g
+            if cert is None:
+                continue
+            assert found == {(cert.a, cert.b)}, g
+            deg = g.degrees
+            first, second = cert.parts
+            if cert.a < cert.b:
+                # the parts are the two degree classes
+                assert first == tuple(v for v in range(n) if deg[v] == cert.a)
+                assert second == tuple(v for v in range(n) if deg[v] == cert.b)
+            else:
+                # a proper coloring with each component's lowest vertex first
+                assert sorted(first + second) == list(range(n))
+                assert all((u in first) != (v in first) for u, v in g.edges)
+                assert all(min(c) in first for c in _components(g))
+
+
+def test_biregular_non_regular_needs_no_adjacency():
+    for g in (star(4), path(4), disjoint_union(path(3), path(3))):
+        fresh = Graph(g.n, g.edges)
+        biregular_certificate(fresh)
+        assert "adjacency" not in fresh.__dict__
 
 
 @settings(max_examples=200)
