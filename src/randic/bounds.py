@@ -176,8 +176,8 @@ def bounds_report(g: Graph) -> BoundsReport:
     to float noise, never the other way around.
     """
     value = randic_direct(g).value
-    deg = g.degrees
-    n, d, D = g.n, min(deg), max(deg)
+    n = g.n
+    d, D = g.degree_range
     connected = is_connected(g)
     bireg = biregular_certificate(g)
     if d == D:

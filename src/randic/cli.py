@@ -53,12 +53,18 @@ def _dump_json(obj) -> str:
 def _read_graphs(path: str, fmt: str) -> Iterator[Graph]:
     """Edge-list input holds a single graph; graph6 input one graph per line,
     parsed as it is read, with errors prefixed by their line number."""
-    with (nullcontext(sys.stdin) if path == "-"
-          else open(path, "r", encoding="ascii")) as fh:
-        if fmt == "edgelist":
+    if fmt == "edgelist":
+        with (nullcontext(sys.stdin) if path == "-"
+              else open(path, "r", encoding="ascii")) as fh:
             yield parse_edge_list(fh.read())
-            return
-        for lineno, line in enumerate(fh, start=1):
+        return
+    # graph6 is read as bytes and decoded as latin-1, which maps each byte
+    # to the code point of its value: parse_graph6 then reports a non-ASCII
+    # byte as itself, from a file and from stdin alike
+    with (nullcontext(sys.stdin.buffer) if path == "-"
+          else open(path, "rb")) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.decode("latin-1")
             if not line.strip():
                 continue
             try:

@@ -137,11 +137,9 @@ def degree_chain_certificate(g: Graph) -> Optional[DegreeChainCertificate]:
     """
     if g.n == 0:
         raise ValueError("membership undefined for the empty graph")
-    deg = g.degrees
-    d = min(deg)
+    d, D = g.degree_range
     if d == 0:
         raise ValueError("isolated vertex present (all degrees must be positive)")
-    D = max(deg)
     if d == D:
         raise ValueError("membership defined only for d < D (graph is regular)")
     # Unequal keys are distinct pairs inside [d, D]; D - d of them, all of
@@ -152,6 +150,7 @@ def degree_chain_certificate(g: Graph) -> Optional[DegreeChainCertificate]:
     if len(cross) != D - d or any(j != i + 1 or pairs[(i, j)] != 1
                                   for i, j in cross):
         return None
+    deg = g.degrees
     consecutive = {min(deg[u], deg[v]): (u, v)
                    for u, v in g.edges if deg[u] != deg[v]}
     return DegreeChainCertificate(

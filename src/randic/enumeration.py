@@ -4,9 +4,19 @@ batch verification harness.
 Generation walks the upper-triangle adjacency bits in graph6 order with two
 degree prunes: a branch that would push a vertex past the maximum degree is
 skipped, and a subtree is skipped as soon as some vertex cannot reach the
-minimum degree with its remaining undecided slots.  Enumeration is labeled
-(no isomorphism reduction); a best-effort canonical relabeling is applied
-only to reported witness graphs.
+minimum degree with its remaining undecided slots.  Each vertex carries an
+adjacency bitmask, toggled with its edge bits, from which connectivity is
+decided at the leaf and seeded into the yielded graph.  Enumeration is
+labeled (no isomorphism reduction); a best-effort canonical relabeling is
+applied only to reported witness graphs.
+
+Every per-graph check of the verification, and every scan statistic but the
+class count and the extremal witnesses, is a function of n, the degree-pair
+histogram and connectivity.  Both folds therefore group a partition's graphs
+by the key (histogram, connected) and evaluate the checks once per key, on
+the key's first graph in enumeration order, weighting each outcome by the
+key's graph count (n = 7 has 1,887,284 graphs with no isolated vertex but
+only 632 keys).
 
 The scan tree can be partitioned by fixing the first k edge bits; partitions
 are processed independently and merged by min/max/sum, so results do not
@@ -59,13 +69,23 @@ def enumerate_graphs(n: int, *, connected: Optional[bool] = None,
         return
     deg = [0] * n
     rem = [n - 1] * n
+    adj = [0] * n  # adjacency bitmask per vertex
+    everyone = (1 << n) - 1
     edges: list[tuple[int, int]] = []
 
     def rec(t: int) -> Iterator[Graph]:
         if t == total:
-            g = _graph_unchecked(n, tuple(sorted(edges)), tuple(deg))
-            if connected is None or is_connected(g) == connected:
-                yield g
+            # grow the set reached from vertex 0 one frontier vertex at a time
+            reached = frontier = 1
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                new = adj[low.bit_length() - 1] & ~reached
+                reached |= new
+                frontier |= new
+            linked = reached == everyone
+            if connected is None or linked == connected:
+                yield _graph_unchecked(n, tuple(sorted(edges)), tuple(deg), linked)
             return
         u, v = pairs[t]
         ru = rem[u] = rem[u] - 1
@@ -78,9 +98,13 @@ def enumerate_graphs(n: int, *, connected: Optional[bool] = None,
             elif du < hi and dv < hi and du + 1 + ru >= lo and dv + 1 + rv >= lo:
                 deg[u] = du + 1
                 deg[v] = dv + 1
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
                 edges.append((u, v))
                 yield from rec(t + 1)
                 edges.pop()
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
                 deg[u] = du
                 deg[v] = dv
         rem[u] += 1
@@ -168,23 +192,34 @@ def _run(fn, tasks: list[tuple], jobs: int) -> list:
     return [fn(*task) for task in tasks]
 
 
+def _histogram_key(g: Graph) -> tuple:
+    # with n, this determines every per-graph check (see the module docstring)
+    return frozenset(g.pair_counts.items()), is_connected(g)
+
+
 def _scan_partition(n: int, connected_only: bool,
                     prefix: tuple[int, ...]) -> dict[tuple[int, int], dict]:
     records: dict[tuple[int, int], dict] = {}
+    # histogram key -> [graph count, first graph, class record, index];
+    # the record is None for regular graphs, which belong to no class
+    keyed: dict[tuple, list] = {}
     gen = enumerate_graphs(n, connected=True if connected_only else None,
                            min_degree=1, prefix=prefix)
     for g in gen:
-        deg = g.degrees
-        d = min(deg)
-        D = max(deg)
-        if d == D:
-            continue
-        value = randic_direct(g).value
-        rec = records.get((d, D))
+        key = _histogram_key(g)
+        entry = keyed.get(key)
+        if entry is None:
+            d, D = g.degree_range
+            if d == D:
+                entry = keyed[key] = [0, g, None, None]
+            else:
+                rec = records.setdefault((d, D), _new_class_record())
+                entry = keyed[key] = [0, g, rec, randic_direct(g).value]
+        entry[0] += 1
+        rec = entry[2]
         if rec is None:
-            rec = records[(d, D)] = _new_class_record()
-        lb, ub = _bound_pair(n, d, D)
-        rec["class_count"] += 1
+            continue
+        value = entry[3]
         # the same (value, graph6) order as _merge_class_records, with
         # canonical_graph6 run only on a new or tied extreme
         if value <= rec["min_randic"]:
@@ -195,15 +230,20 @@ def _scan_partition(n: int, connected_only: bool,
             c6 = canonical_graph6(g)
             if (-value, c6) < (-rec["max_randic"], rec["argmax_graph6"]):
                 rec["max_randic"], rec["argmax_graph6"] = value, c6
+    for graphs, g, rec, value in keyed.values():
+        if rec is None:
+            continue
+        lb, ub = _bound_pair(n, *g.degree_range)
+        rec["class_count"] += graphs
         if value < lb - SLACK_TOLERANCE:
-            rec["lower_violations"] += 1
+            rec["lower_violations"] += graphs
         if biregular_certificate(g) is not None:
-            rec["lower_equality_witnesses"] += 1
-        if connected_only or is_connected(g):
+            rec["lower_equality_witnesses"] += graphs
+        if is_connected(g):
             if value > ub + SLACK_TOLERANCE:
-                rec["upper_violations"] += 1
+                rec["upper_violations"] += graphs
             if degree_chain_certificate(g) is not None:
-                rec["upper_equality_witnesses"] += 1
+                rec["upper_equality_witnesses"] += graphs
     return records
 
 
@@ -289,60 +329,56 @@ def _new_verify_counts() -> dict:
     return counts
 
 
+def _graph_checks(g: Graph, identity_tol: float,
+                  slack_tol: float) -> Iterator[tuple[str, bool]]:
+    """(check name, failed) for every per-graph check that applies to g."""
+    n = g.n
+    d, D = g.degree_range
+    value = randic_direct(g).value
+    yield "identity", abs(value - randic_deviation(g)) > identity_tol
+
+    root = math.sqrt(n - 1)
+    is_star = g.m == n - 1 and D == n - 1 and n >= 2
+    star_equal = abs(value - root) <= slack_tol
+    yield "star-baseline", value < root - slack_tol or star_equal != is_star
+
+    if d == D:
+        return
+    lb, ub = _bound_pair(n, d, D)
+    yield ("decomposition",
+           decomposition_residual(g, tolerance=identity_tol) > identity_tol)
+    yield "lower-bound", value < lb - slack_tol
+    lower_equal = abs(value - lb) <= slack_tol
+    yield "lower-equality", lower_equal != (biregular_certificate(g) is not None)
+    if is_connected(g):
+        yield "upper-bound", value > ub + slack_tol
+        upper_equal = abs(value - ub) <= slack_tol
+        yield ("upper-equality",
+               upper_equal != (degree_chain_certificate(g) is not None))
+
+
 def _verify_partition(n: int, prefix: tuple[int, ...], identity_tol: float,
                       slack_tol: float) -> dict:
-    counts = _new_verify_counts()
-    root = math.sqrt(n - 1)
-
-    def fail(name: str, g: Graph) -> None:
-        entry = counts[name]
-        entry[1] += 1
-        if entry[2] is None:
-            entry[2] = to_graph6(g)
-
+    keyed: dict[tuple, list] = {}  # histogram key -> [first graph, graph count]
     for g in enumerate_graphs(n, min_degree=1, prefix=prefix):
-        counts["graphs"] += 1
-        deg = g.degrees
-        d = min(deg)
-        D = max(deg)
-        value = randic_direct(g).value
-
-        counts["identity"][0] += 1
-        if abs(value - randic_deviation(g)) > identity_tol:
-            fail("identity", g)
-
-        counts["star-baseline"][0] += 1
-        is_star = g.m == n - 1 and D == n - 1 and n >= 2
-        star_equal = abs(value - root) <= slack_tol
-        if value < root - slack_tol or star_equal != is_star:
-            fail("star-baseline", g)
-
-        if d == D:
-            continue
-
-        lb, ub = _bound_pair(n, d, D)
-
-        counts["decomposition"][0] += 1
-        if decomposition_residual(g, tolerance=identity_tol) > identity_tol:
-            fail("decomposition", g)
-
-        counts["lower-bound"][0] += 1
-        if value < lb - slack_tol:
-            fail("lower-bound", g)
-
-        counts["lower-equality"][0] += 1
-        lower_equal = abs(value - lb) <= slack_tol
-        if lower_equal != (biregular_certificate(g) is not None):
-            fail("lower-equality", g)
-
-        if is_connected(g):
-            counts["upper-bound"][0] += 1
-            if value > ub + slack_tol:
-                fail("upper-bound", g)
-            counts["upper-equality"][0] += 1
-            upper_equal = abs(value - ub) <= slack_tol
-            if upper_equal != (degree_chain_certificate(g) is not None):
-                fail("upper-equality", g)
+        key = _histogram_key(g)
+        entry = keyed.get(key)
+        if entry is None:
+            keyed[key] = [g, 1]
+        else:
+            entry[1] += 1
+    counts = _new_verify_counts()
+    # keys are in order of first appearance, so the first failing key's
+    # first graph is the first failing graph in enumeration order
+    for g, graphs in keyed.values():
+        counts["graphs"] += graphs
+        for name, failed in _graph_checks(g, identity_tol, slack_tol):
+            entry = counts[name]
+            entry[0] += graphs
+            if failed:
+                entry[1] += graphs
+                if entry[2] is None:
+                    entry[2] = to_graph6(g)
     return counts
 
 
@@ -370,7 +406,7 @@ def chain_grid_check(max_degree: int = 9,
             g = build_degree_chain(d, D)
             deg = g.degrees
             cross = [(u, v) for u, v in g.edges if deg[u] != deg[v]]
-            ok = (min(deg) == d and max(deg) == D
+            ok = (g.degree_range == (d, D)
                   and is_connected(g)
                   and len(cross) == D - d
                   and all(abs(deg[u] - deg[v]) == 1 for u, v in cross)

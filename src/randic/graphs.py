@@ -25,8 +25,9 @@ class Graph:
 
     Any iterable of vertex pairs is accepted; edges are normalized to
     ``(min, max)`` and sorted.  Self-loops, duplicates and out-of-range
-    labels are rejected.  ``degrees``, ``adjacency`` and the degree-pair
-    histogram ``pair_counts`` are computed on first use and cached.
+    labels are rejected.  ``degrees``, ``degree_range``, ``adjacency`` and
+    the degree-pair histogram ``pair_counts`` are computed on first use and
+    cached.
     """
 
     n: int
@@ -64,6 +65,12 @@ class Graph:
         return tuple(deg)
 
     @cached_property
+    def degree_range(self) -> tuple[int, int]:
+        """(minimum degree, maximum degree); requires n >= 1."""
+        deg = self.degrees
+        return min(deg), max(deg)
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         adj = [[] for _ in range(self.n)]
         for u, v in self.edges:
@@ -95,14 +102,15 @@ class Graph:
 
 
 def _graph_unchecked(n: int, edges: tuple[tuple[int, int], ...],
-                     degrees: Optional[tuple[int, ...]] = None) -> Graph:
-    # Fast path for internal callers that guarantee sorted, valid edges
-    # (the enumerator builds millions of graphs).
+                     degrees: tuple[int, ...], connected: bool) -> Graph:
+    # Fast path for the enumerator, which builds millions of graphs: the
+    # edges are sorted and valid, and the degrees and connectivity it
+    # already knows are seeded into the caches.
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "edges", edges)
-    if degrees is not None:
-        g.__dict__["degrees"] = degrees
+    g.__dict__["degrees"] = degrees
+    g.__dict__["_connected"] = connected
     return g
 
 
@@ -257,11 +265,10 @@ def degree_profile(g: Graph) -> DegreeProfile:
     """
     if g.n == 0:
         raise ValueError("degree profile undefined for the empty graph")
-    deg = g.degrees
-    d = min(deg)
+    d, D = g.degree_range
     if d == 0:
         raise ValueError("isolated vertex present (minimum degree must be positive)")
-    D = max(deg)
+    deg = g.degrees
     sizes = {i: 0 for i in range(d, D + 1)}
     for x in deg:
         sizes[x] += 1
@@ -271,9 +278,16 @@ def degree_profile(g: Graph) -> DegreeProfile:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0 (requires n >= 1)."""
+    """True iff every vertex is reachable from vertex 0 (requires n >= 1).
+
+    Graphs from the enumerator carry the answer it decided with adjacency
+    bitmasks; any other graph is searched.
+    """
     if g.n < 1:
         raise ValueError("connectivity undefined for n = 0")
+    seeded = g.__dict__.get("_connected")
+    if seeded is not None:
+        return seeded
     adj = g.adjacency
     seen = bytearray(g.n)
     seen[0] = 1
@@ -313,7 +327,7 @@ def biregular_certificate(g: Graph) -> Optional[BiregularCertificate]:
     if not g.edges:
         return None
     deg = g.degrees
-    d, D = min(deg), max(deg)
+    d, D = g.degree_range
     if d < D:
         # a degree-0 vertex has no edge, so its degree never shows as a key
         if g.pair_counts.keys() != {(d, D)}:

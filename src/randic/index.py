@@ -35,10 +35,9 @@ class RandicValue:
 def _checked_degrees(g: Graph) -> tuple[int, ...]:
     if g.n == 0:
         raise ValueError("Randic index undefined for the empty graph")
-    deg = g.degrees
-    if min(deg) == 0:
+    if g.degree_range[0] == 0:
         raise ValueError("isolated vertex present (all degrees must be positive)")
-    return deg
+    return g.degrees
 
 
 def randic_direct(g: Graph) -> RandicValue:

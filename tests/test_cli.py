@@ -11,8 +11,11 @@ STAR4_EDGELIST = "4\n0 1\n0 2\n0 3\n"
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
+    """Run the CLI in-process; stdin (str or bytes) gets a byte buffer
+    underneath, as a real process's does."""
     if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        data = stdin.encode() if isinstance(stdin, str) else stdin
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
@@ -51,6 +54,18 @@ def test_graph6_error_names_its_line(capsys, monkeypatch):
     assert code == 2
     assert "line 2:" in err
     assert out.startswith("n=5 m=5 randic=2.5 ")  # C5 streamed out first
+
+
+def test_graph6_non_ascii_byte_names_its_line(capsys, monkeypatch, tmp_path):
+    data = b"Dhc\nDh\xffc\n"
+    path = tmp_path / "bad.g6"
+    path.write_bytes(data)
+    for argv, stdin in ((["--input", str(path)], None), ([], data)):
+        code, out, err = run(capsys, ["compute", "--format", "graph6", *argv],
+                             stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 2
+        assert err.startswith("error: line 2: invalid graph6 byte 255 ")
+        assert out.startswith("n=5 m=5 randic=2.5 ")
 
 
 def test_compute_json(capsys, monkeypatch):

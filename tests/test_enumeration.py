@@ -1,13 +1,18 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
 import randic.enumeration
-from randic import (canonical_graph6, chain_grid_check, enumerate_graphs,
-                    extremal_scan, gap_positivity_check, to_graph6,
-                    verify_theorems)
+from randic import (IDENTITY_TOLERANCE, SLACK_TOLERANCE, EnumerationSummary, biregular_certificate,
+                    canonical_graph6, chain_grid_check,
+                    decomposition_residual, degree_chain_certificate,
+                    enumerate_graphs, extremal_scan, gap_positivity_check,
+                    is_connected, lower_bound, randic_deviation,
+                    randic_direct, to_graph6, upper_bound, verify_theorems)
+from randic.enumeration import CheckResult
 
-from conftest import complete_bipartite, naive_graphs, star
+from conftest import _naive_connected, complete_bipartite, naive_graphs, star
 
 
 # ── Generator counts and oracle equivalence ───────────────────────────
@@ -19,8 +24,18 @@ def test_unconstrained_counts_match_closed_form():
 
 
 def test_connected_counts():
-    assert sum(1 for _ in enumerate_graphs(4, connected=True)) == 38
-    assert sum(1 for _ in enumerate_graphs(5, connected=True)) == 728
+    # labeled connected graphs on 1..6 vertices (OEIS A001187)
+    assert [sum(1 for _ in enumerate_graphs(n, connected=True))
+            for n in range(1, 7)] == [1, 1, 4, 38, 728, 26704]
+
+
+def test_seeded_connectivity_matches_naive():
+    for n in range(1, 7):
+        for min_degree in (None, 1):
+            for g in enumerate_graphs(n, min_degree=min_degree):
+                assert is_connected(g) == _naive_connected(n, g.edges)
+                # decided by the enumerator, not by a search
+                assert "adjacency" not in g.__dict__
 
 
 def test_min_degree_counts():
@@ -225,3 +240,125 @@ def test_chain_grid_check_clean():
 def test_gap_positivity_check_clean():
     result = gap_positivity_check(samples=2000)
     assert result.checked == 2000 and result.failures == 0
+
+
+# ── Keyed evaluation against direct per-graph evaluation ──────────────
+
+_CHECKS = ("identity", "decomposition", "lower-bound", "lower-equality",
+           "upper-bound", "upper-equality", "star-baseline")
+
+
+def _enumeration_order(g):
+    # the enumerator walks the graph6 adjacency bits depth-first, 0 before 1
+    present = set(g.edges)
+    return tuple((i, j) in present for j in range(1, g.n) for i in range(j))
+
+
+@pytest.fixture(scope="module")
+def direct_facts():
+    """Every graph with 2 <= n <= 6 and no isolated vertex, from the naive
+    generator in the enumerator's order, with each quantity that a check
+    compares computed on the graph itself."""
+    facts = []
+    for n in range(2, 7):
+        for g in sorted(naive_graphs(n, min_degree=1), key=_enumeration_order):
+            d, D = min(g.degrees), max(g.degrees)
+            fact = SimpleNamespace(
+                g=g, n=n, d=d, D=D, value=randic_direct(g).value,
+                deviation=randic_deviation(g),
+                connected=_naive_connected(n, g.edges))
+            if d < D:
+                fact.lb, fact.ub = lower_bound(n, d, D), upper_bound(n, d, D)
+                fact.residual = decomposition_residual(g)
+                fact.biregular = biregular_certificate(g) is not None
+                fact.chain = degree_chain_certificate(g) is not None
+            facts.append(fact)
+    return facts
+
+
+def _direct_verify(facts, identity_tol, slack_tol):
+    """Every verify check run on every graph, counted the way
+    verify_theorems reports them."""
+    counts = {name: [0, 0, None] for name in _CHECKS}
+
+    def check(name, f, failed):
+        entry = counts[name]
+        entry[0] += 1
+        if failed:
+            entry[1] += 1
+            if entry[2] is None:
+                entry[2] = to_graph6(f.g)
+
+    for f in facts:
+        check("identity", f, abs(f.value - f.deviation) > identity_tol)
+        root = math.sqrt(f.n - 1)
+        is_star = f.g.m == f.n - 1 and f.D == f.n - 1
+        check("star-baseline", f, f.value < root - slack_tol
+              or (abs(f.value - root) <= slack_tol) != is_star)
+        if f.d == f.D:
+            continue
+        check("decomposition", f, f.residual > identity_tol)
+        check("lower-bound", f, f.value < f.lb - slack_tol)
+        check("lower-equality", f,
+              (abs(f.value - f.lb) <= slack_tol) != f.biregular)
+        if f.connected:
+            check("upper-bound", f, f.value > f.ub + slack_tol)
+            check("upper-equality", f,
+                  (abs(f.value - f.ub) <= slack_tol) != f.chain)
+    return [CheckResult(name, *counts[name]) for name in _CHECKS]
+
+
+# The tolerances other than the contract's force failures, so failure
+# counts and first counterexamples are compared too: 4e-16 fails some
+# identity and decomposition residuals, a negative slack every graph near
+# a bound, and a loose slack puts graphs with no certificate within
+# "equality" at n >= 4, where a partition holds several failing keys.
+@pytest.mark.parametrize("identity_tol, slack_tol", [
+    (IDENTITY_TOLERANCE, SLACK_TOLERANCE), (4e-16, -1e-3), (4e-16, 0.05)])
+def test_verify_matches_direct_evaluation(direct_facts, identity_tol, slack_tol):
+    expected = _direct_verify(direct_facts, identity_tol, slack_tol)
+    failing = {c.name for c in expected if c.failures}
+    if identity_tol == IDENTITY_TOLERANCE:
+        assert not failing
+    else:
+        assert {"identity", "decomposition", "lower-equality"} <= failing
+    for jobs in (1, 2):
+        report = verify_theorems(6, jobs=jobs, identity_tolerance=identity_tol,
+                                 slack_tolerance=slack_tol)
+        assert report.graphs == len(direct_facts)
+        assert list(report.checks[:len(_CHECKS)]) == expected
+
+
+def _direct_scan(facts, connected_only):
+    """extremal_scan's records, computed graph by graph."""
+    classes = {}
+    for f in facts:
+        if f.d < f.D and (f.connected or not connected_only):
+            classes.setdefault((f.n, f.d, f.D), []).append(f)
+    summaries = []
+    for (n, d, D), members in sorted(classes.items()):
+        low = min(f.value for f in members)
+        high = max(f.value for f in members)
+        summaries.append(EnumerationSummary(
+            n=n, d=d, D=D, class_count=len(members),
+            min_randic=low, max_randic=high,
+            argmin_graph6=min(canonical_graph6(f.g) for f in members
+                              if f.value == low),
+            argmax_graph6=min(canonical_graph6(f.g) for f in members
+                              if f.value == high),
+            lower_violations=sum(f.value < f.lb - SLACK_TOLERANCE
+                                 for f in members),
+            upper_violations=sum(f.connected and f.value > f.ub + SLACK_TOLERANCE
+                                 for f in members),
+            lower_equality_witnesses=sum(f.biregular for f in members),
+            upper_equality_witnesses=sum(f.connected and f.chain
+                                         for f in members)))
+    return summaries
+
+
+@pytest.mark.parametrize("connected_only", [False, True])
+def test_scan_matches_direct_evaluation(direct_facts, connected_only):
+    expected = _direct_scan(direct_facts, connected_only)
+    for jobs in (1, 2):
+        assert extremal_scan(6, connected_only=connected_only,
+                             jobs=jobs) == expected

@@ -29,6 +29,7 @@ def test_graph_normalizes_edges():
     g = Graph(3, ((2, 0), (1, 0)))
     assert g.edges == ((0, 1), (0, 2))
     assert g.degrees == (2, 1, 1)
+    assert g.degree_range == (1, 2)
     assert g.m == 2
 
 
