@@ -100,10 +100,7 @@ def decomposition_residual(g: Graph, tolerance: float = IDENTITY_TOLERANCE) -> f
         if m:
             terms.append(w * m)
     rhs = c * g.n + math.fsum(terms)
-    # the same fsum over the same terms as randic_direct, so bit-identical
-    lhs = math.fsum(m / math.sqrt(i * j)
-                    for (i, j), m in prof.cross_counts.items() if m)
-    return abs(lhs - rhs)
+    return abs(randic_direct(g).value - rhs)
 
 
 @dataclass(frozen=True)

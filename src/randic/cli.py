@@ -53,16 +53,14 @@ def _dump_json(obj) -> str:
 def _read_graphs(path: str, fmt: str) -> Iterator[Graph]:
     """Edge-list input holds a single graph; graph6 input one graph per line,
     parsed as it is read, with errors prefixed by their line number."""
-    if fmt == "edgelist":
-        with (nullcontext(sys.stdin) if path == "-"
-              else open(path, "r", encoding="ascii")) as fh:
-            yield parse_edge_list(fh.read())
-        return
-    # graph6 is read as bytes and decoded as latin-1, which maps each byte
-    # to the code point of its value: parse_graph6 then reports a non-ASCII
-    # byte as itself, from a file and from stdin alike
+    # input is read as bytes and decoded as latin-1, which maps each byte to
+    # the code point of its value: the parsers then report a non-ASCII byte
+    # on its line, from a file and from stdin alike
     with (nullcontext(sys.stdin.buffer) if path == "-"
           else open(path, "rb")) as fh:
+        if fmt == "edgelist":
+            yield parse_edge_list(fh.read().decode("latin-1"))
+            return
         for lineno, raw in enumerate(fh, start=1):
             line = raw.decode("latin-1")
             if not line.strip():
@@ -209,12 +207,8 @@ def cmd_enumerate(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for s in summaries:
-            d = s.to_json_dict()
-            writer.writerow([
-                d["n"], d["d"], d["D"], d["classCount"],
-                _fmt(d["minR"]), _fmt(d["maxR"]), d["argmin"], d["argmax"],
-                d["lowerViolations"], d["upperViolations"],
-                d["lowerEqualityWitnesses"], d["upperEqualityWitnesses"]])
+            writer.writerow([_fmt(v) if isinstance(v, float) else v
+                             for v in s.to_json_dict().values()])
     else:
         print(f"{'n':>2} {'d':>2} {'D':>2} {'count':>8} {'minR':>18} "
               f"{'maxR':>18} {'viol':>5} {'eq(lo/up)':>10}  argmin")

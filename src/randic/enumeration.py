@@ -16,7 +16,8 @@ histogram and connectivity.  Both folds therefore group a partition's graphs
 by the key (histogram, connected) and evaluate the checks once per key, on
 the key's first graph in enumeration order, weighting each outcome by the
 key's graph count (n = 7 has 1,887,284 graphs with no isolated vertex but
-only 632 keys).
+only 632 keys).  Both folds read a key's index, bounds, slacks and
+equality certificates off one ``bounds_report`` of that graph.
 
 The scan tree can be partitioned by fixing the first k edge bits; partitions
 are processed independently and merged by min/max/sum, so results do not
@@ -28,13 +29,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cache
 from multiprocessing import Pool
 from typing import Iterator, Optional
 
-from .bounds import SLACK_TOLERANCE, lower_bound, upper_bound, decomposition_residual, telescope_gap
+from .bounds import (SLACK_TOLERANCE, bounds_report, decomposition_residual,
+                     telescope_gap, upper_bound)
 from .constructions import build_degree_chain, degree_chain_certificate
-from .graphs import Graph, _graph_unchecked, biregular_certificate, is_connected, to_graph6
+from .graphs import Graph, _graph_unchecked, is_connected, to_graph6
 from .index import IDENTITY_TOLERANCE, randic_deviation, randic_direct
 
 #: Hard cap on the vertex count.  n = 8 works but adds about 252 million
@@ -177,12 +178,6 @@ def _new_class_record() -> dict:
     return rec
 
 
-@cache
-def _bound_pair(n: int, d: int, D: int) -> tuple[float, float]:
-    # (lower, upper) for one class; at most a few hundred keys for n <= 8
-    return lower_bound(n, d, D), upper_bound(n, d, D)
-
-
 def _run(fn, tasks: list[tuple], jobs: int) -> list:
     """fn(*task) for every task, on up to ``jobs`` worker processes, with the
     results in task order."""
@@ -200,8 +195,8 @@ def _histogram_key(g: Graph) -> tuple:
 def _scan_partition(n: int, connected_only: bool,
                     prefix: tuple[int, ...]) -> dict[tuple[int, int], dict]:
     records: dict[tuple[int, int], dict] = {}
-    # histogram key -> [graph count, first graph, class record, index];
-    # the record is None for regular graphs, which belong to no class
+    # histogram key -> [graph count, class record, bounds report]; record
+    # and report are None for regular graphs, which belong to no class
     keyed: dict[tuple, list] = {}
     gen = enumerate_graphs(n, connected=True if connected_only else None,
                            min_degree=1, prefix=prefix)
@@ -211,15 +206,15 @@ def _scan_partition(n: int, connected_only: bool,
         if entry is None:
             d, D = g.degree_range
             if d == D:
-                entry = keyed[key] = [0, g, None, None]
+                entry = keyed[key] = [0, None, None]
             else:
                 rec = records.setdefault((d, D), _new_class_record())
-                entry = keyed[key] = [0, g, rec, randic_direct(g).value]
+                entry = keyed[key] = [0, rec, bounds_report(g)]
         entry[0] += 1
-        rec = entry[2]
+        rec = entry[1]
         if rec is None:
             continue
-        value = entry[3]
+        value = entry[2].randic
         # the same (value, graph6) order as _merge_class_records, with
         # canonical_graph6 run only on a new or tied extreme
         if value <= rec["min_randic"]:
@@ -230,19 +225,18 @@ def _scan_partition(n: int, connected_only: bool,
             c6 = canonical_graph6(g)
             if (-value, c6) < (-rec["max_randic"], rec["argmax_graph6"]):
                 rec["max_randic"], rec["argmax_graph6"] = value, c6
-    for graphs, g, rec, value in keyed.values():
+    for graphs, rec, r in keyed.values():
         if rec is None:
             continue
-        lb, ub = _bound_pair(n, *g.degree_range)
         rec["class_count"] += graphs
-        if value < lb - SLACK_TOLERANCE:
+        if r.lower_slack < -SLACK_TOLERANCE:
             rec["lower_violations"] += graphs
-        if biregular_certificate(g) is not None:
+        if r.lower_equality is not None:
             rec["lower_equality_witnesses"] += graphs
-        if is_connected(g):
-            if value > ub + SLACK_TOLERANCE:
+        if r.connected:
+            if r.upper_slack < -SLACK_TOLERANCE:
                 rec["upper_violations"] += graphs
-            if degree_chain_certificate(g) is not None:
+            if r.upper_equality is not None:
                 rec["upper_equality_witnesses"] += graphs
     return records
 
@@ -332,29 +326,26 @@ def _new_verify_counts() -> dict:
 def _graph_checks(g: Graph, identity_tol: float,
                   slack_tol: float) -> Iterator[tuple[str, bool]]:
     """(check name, failed) for every per-graph check that applies to g."""
-    n = g.n
-    d, D = g.degree_range
-    value = randic_direct(g).value
+    r = bounds_report(g)
+    value = r.randic
     yield "identity", abs(value - randic_deviation(g)) > identity_tol
 
-    root = math.sqrt(n - 1)
-    is_star = g.m == n - 1 and D == n - 1 and n >= 2
+    root = math.sqrt(r.n - 1)
+    is_star = g.m == r.n - 1 and r.D == r.n - 1
     star_equal = abs(value - root) <= slack_tol
     yield "star-baseline", value < root - slack_tol or star_equal != is_star
 
-    if d == D:
+    if r.regular:
         return
-    lb, ub = _bound_pair(n, d, D)
     yield ("decomposition",
            decomposition_residual(g, tolerance=identity_tol) > identity_tol)
-    yield "lower-bound", value < lb - slack_tol
-    lower_equal = abs(value - lb) <= slack_tol
-    yield "lower-equality", lower_equal != (biregular_certificate(g) is not None)
-    if is_connected(g):
-        yield "upper-bound", value > ub + slack_tol
-        upper_equal = abs(value - ub) <= slack_tol
-        yield ("upper-equality",
-               upper_equal != (degree_chain_certificate(g) is not None))
+    yield "lower-bound", r.lower_slack < -slack_tol
+    lower_equal = abs(r.lower_slack) <= slack_tol
+    yield "lower-equality", lower_equal != (r.lower_equality is not None)
+    if r.connected:
+        yield "upper-bound", r.upper_slack < -slack_tol
+        upper_equal = abs(r.upper_slack) <= slack_tol
+        yield "upper-equality", upper_equal != (r.upper_equality is not None)
 
 
 def _verify_partition(n: int, prefix: tuple[int, ...], identity_tol: float,

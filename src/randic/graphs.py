@@ -134,13 +134,22 @@ class DegreeProfile:
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: first line n, then one "u v" per line.
 
-    Blank lines are skipped.  Self-loops, duplicate edges, malformed lines
-    and out-of-range labels are rejected with a line-numbered message.
+    Only a line feed ends a line, and blank lines are skipped.  Self-loops,
+    duplicate edges, malformed lines and out-of-range labels are rejected
+    with a line-numbered message, and so is the first line holding a
+    non-ASCII or "_" character, before any line is parsed.
     """
+    # int() would read "1_1" and non-ASCII digits, and split() would split
+    # at a non-ASCII space; the whole-text test keeps clean input fast
+    if "_" in text or not text.isascii():
+        lineno, raw = next((k, raw) for k, raw in enumerate(text.split("\n"), 1)
+                           if "_" in raw or not raw.isascii())
+        raise GraphFormatError(
+            f"line {lineno}: expected ASCII decimal integers, got {raw!a}")
     n: Optional[int] = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

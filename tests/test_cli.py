@@ -93,6 +93,25 @@ def test_compute_malformed_input_exits_2(capsys, monkeypatch):
     assert "self-loop" in err
 
 
+@pytest.mark.parametrize("data, message", [
+    ("3\n0 1\n1 ２\n".encode(),                  # a full-width digit
+     "line 3: expected ASCII decimal integers, got '1 \\xef\\xbc\\x92'"),
+    (b"3\n0 1\n\xff 2\n", "line 3: expected ASCII decimal integers"),
+    (b"3\n0 1\xa02\n", "line 2: expected ASCII decimal integers"),
+    (b"3\n0 1\n1_1 2\n", "line 3: expected ASCII decimal integers"),
+    (b"3\n\x0c\n1 1\n", "line 3: self-loop"),     # \x0c ends no line
+])
+def test_edge_list_error_names_its_line(capsys, monkeypatch, tmp_path, data,
+                                        message):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(data)
+    for argv, stdin in ((["--input", str(path)], None), ([], data)):
+        code, out, err = run(capsys, ["compute", *argv], stdin=stdin,
+                             monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
+
 def test_compute_isolated_vertex_exits_2(capsys, monkeypatch):
     code, _, err = run(capsys, ["compute"], stdin="3\n0 1\n",
                        monkeypatch=monkeypatch)

@@ -1,10 +1,13 @@
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
+import randic.bounds
 import randic.enumeration
-from randic import (IDENTITY_TOLERANCE, SLACK_TOLERANCE, EnumerationSummary, biregular_certificate,
+from randic import (IDENTITY_TOLERANCE, SLACK_TOLERANCE, DegreeChainCertificate,
+                    EnumerationSummary, biregular_certificate,
                     canonical_graph6, chain_grid_check,
                     decomposition_residual, degree_chain_certificate,
                     enumerate_graphs, extremal_scan, gap_positivity_check,
@@ -362,3 +365,25 @@ def test_scan_matches_direct_evaluation(direct_facts, connected_only):
     for jobs in (1, 2):
         assert extremal_scan(6, connected_only=connected_only,
                              jobs=jobs) == expected
+
+
+def test_upper_equality_counted_per_graph(direct_facts, monkeypatch):
+    # no graph with n <= 6 carries a chain certificate, so grant one to
+    # every graph: each connected graph with d < D is then a witness, and
+    # upper-equality fails wherever the upper slack is not zero; the pool
+    # forks, so its workers see the patch too
+    monkeypatch.setattr(randic.bounds, "degree_chain_certificate",
+                        lambda g: DegreeChainCertificate(*g.degree_range, ()))
+    chained = [SimpleNamespace(**{**vars(f), "chain": True}) if f.d < f.D
+               else f for f in direct_facts]
+    connected = Counter((f.n, f.d, f.D) for f in direct_facts
+                        if f.d < f.D and f.connected)
+    expected = _direct_verify(chained, IDENTITY_TOLERANCE, SLACK_TOLERANCE)
+    assert expected[_CHECKS.index("upper-equality")].failures > 0
+    for jobs in (1, 2):
+        scan = extremal_scan(6, jobs=jobs)
+        assert [s.upper_equality_witnesses for s in scan] == [
+            connected[(s.n, s.d, s.D)] for s in scan]
+        assert sum(s.upper_equality_witnesses for s in scan) > 0
+        report = verify_theorems(6, jobs=jobs)
+        assert list(report.checks[:len(_CHECKS)]) == expected
