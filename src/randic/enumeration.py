@@ -6,18 +6,21 @@ degree prunes: a branch that would push a vertex past the maximum degree is
 skipped, and a subtree is skipped as soon as some vertex cannot reach the
 minimum degree with its remaining undecided slots.  Each vertex carries an
 adjacency bitmask, toggled with its edge bits, from which connectivity is
-decided at the leaf and seeded into the yielded graph.  Enumeration is
-labeled (no isomorphism reduction); a best-effort canonical relabeling is
-applied only to reported witness graphs.
+decided at the leaf.  Enumeration is labeled (no isomorphism reduction); a
+best-effort canonical relabeling is applied only to reported witness graphs.
 
 Every per-graph check of the verification, and every scan statistic but the
 class count and the extremal witnesses, is a function of n, the degree-pair
-histogram and connectivity.  Both folds therefore group a partition's graphs
-by the key (histogram, connected) and evaluate the checks once per key, on
-the key's first graph in enumeration order, weighting each outcome by the
-key's graph count (n = 7 has 1,887,284 graphs with no isolated vertex but
-only 632 keys).  Both folds read a key's index, bounds, slacks and
-equality certificates off one ``bounds_report`` of that graph.
+histogram and connectivity.  At each leaf the walk therefore computes one
+integer key that encodes the histogram and connectivity, and both folds
+count graphs per key, building a ``Graph`` only for a key's first graph in
+enumeration order (and, in the scan, for a graph that ties its class's
+running extreme).  n = 7 has 1,887,284 graphs with no isolated vertex but
+only 632 keys.  Verify merges the partitions' keys by (n, key) and runs its
+checks once per key for the whole run, weighting each outcome by the key's
+graph count; the scan evaluates each key once per partition.  Both read a
+key's index, bounds, slacks and equality certificates off one
+``bounds_report`` of its first graph.
 
 The scan tree can be partitioned by fixing the first k edge bits; partitions
 are processed independently and merged by min/max/sum, so results do not
@@ -39,7 +42,8 @@ from .graphs import Graph, _graph_unchecked, is_connected, to_graph6
 from .index import IDENTITY_TOLERANCE, randic_deviation, randic_direct
 
 #: Hard cap on the vertex count.  n = 8 works but adds about 252 million
-#: graphs to the scan, which takes hours.
+#: graphs: ``verify --max-n 8 --jobs 2`` took 19 minutes wall (37 CPU-minutes)
+#: on a 2-vCPU Xeon, and ``enumerate --max-n 8 --jobs 2`` 20 minutes (39).
 MAX_VERTICES = 8
 
 #: Seed for the random triples of the gap-positivity check.
@@ -56,6 +60,20 @@ def enumerate_graphs(n: int, *, connected: Optional[bool] = None,
     ``prefix`` pins the first len(prefix) adjacency bits, which is how the
     scan tree is partitioned across workers.  Requires 1 <= n <= 8.
     """
+    for edges, deg, _ in _walk(n, connected, min_degree, max_degree, prefix):
+        yield _graph_unchecked(n, tuple(sorted(edges)), tuple(deg))
+
+
+def _walk(n: int, connected: Optional[bool], min_degree: Optional[int],
+          max_degree: Optional[int], prefix: tuple[int, ...]) -> Iterator[tuple]:
+    """The walk behind enumerate_graphs: (edges, degrees, key) per graph.
+
+    ``edges`` (unsorted) and ``degrees`` are the walk's own lists, valid
+    until the next item.  ``key`` is one-to-one, for this n, with the
+    degree-pair histogram and connectivity: bit 0 is set iff the graph is
+    connected, and above it each degree pair i <= j has one base-(n(n-1)/2
+    + 1) digit counting its edges, which never carries.
+    """
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count must be in [1, {MAX_VERTICES}], got {n}")
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
@@ -68,13 +86,19 @@ def enumerate_graphs(n: int, *, connected: Optional[bool] = None,
         raise ValueError("degree constraints must be non-negative")
     if lo > n - 1:
         return
+    weight = [[0] * n for _ in range(n)]  # weight[i][j]: one unit of digit (i, j)
+    unit = 2
+    for i in range(1, n):
+        for j in range(i, n):
+            weight[i][j] = weight[j][i] = unit
+            unit *= total + 1
     deg = [0] * n
     rem = [n - 1] * n
     adj = [0] * n  # adjacency bitmask per vertex
     everyone = (1 << n) - 1
     edges: list[tuple[int, int]] = []
 
-    def rec(t: int) -> Iterator[Graph]:
+    def rec(t: int) -> Iterator[tuple]:
         if t == total:
             # grow the set reached from vertex 0 one frontier vertex at a time
             reached = frontier = 1
@@ -86,7 +110,10 @@ def enumerate_graphs(n: int, *, connected: Optional[bool] = None,
                 frontier |= new
             linked = reached == everyone
             if connected is None or linked == connected:
-                yield _graph_unchecked(n, tuple(sorted(edges)), tuple(deg), linked)
+                key = int(linked)
+                for u, v in edges:
+                    key += weight[deg[u]][deg[v]]
+                yield edges, deg, key
             return
         u, v = pairs[t]
         ru = rem[u] = rem[u] - 1
@@ -187,27 +214,21 @@ def _run(fn, tasks: list[tuple], jobs: int) -> list:
     return [fn(*task) for task in tasks]
 
 
-def _histogram_key(g: Graph) -> tuple:
-    # with n, this determines every per-graph check (see the module docstring)
-    return frozenset(g.pair_counts.items()), is_connected(g)
-
-
 def _scan_partition(n: int, connected_only: bool,
                     prefix: tuple[int, ...]) -> dict[tuple[int, int], dict]:
     records: dict[tuple[int, int], dict] = {}
-    # histogram key -> [graph count, class record, bounds report]; record
-    # and report are None for regular graphs, which belong to no class
-    keyed: dict[tuple, list] = {}
-    gen = enumerate_graphs(n, connected=True if connected_only else None,
-                           min_degree=1, prefix=prefix)
-    for g in gen:
-        key = _histogram_key(g)
+    # walk key -> [graph count, class record, bounds report]; record and
+    # report are None for regular graphs, which belong to no class
+    keyed: dict[int, list] = {}
+    for edges, deg, key in _walk(n, connected_only or None, 1, None, prefix):
+        g = None
         entry = keyed.get(key)
         if entry is None:
-            d, D = g.degree_range
+            d, D = min(deg), max(deg)
             if d == D:
                 entry = keyed[key] = [0, None, None]
             else:
+                g = _graph_unchecked(n, tuple(sorted(edges)), tuple(deg))
                 rec = records.setdefault((d, D), _new_class_record())
                 entry = keyed[key] = [0, rec, bounds_report(g)]
         entry[0] += 1
@@ -215,14 +236,13 @@ def _scan_partition(n: int, connected_only: bool,
         if rec is None:
             continue
         value = entry[2].randic
-        # the same (value, graph6) order as _merge_class_records, with
-        # canonical_graph6 run only on a new or tied extreme
-        if value <= rec["min_randic"]:
-            c6 = canonical_graph6(g)
+        # the same (value, graph6) order as _merge_class_records, with a
+        # graph built and canonical_graph6 run only on a new or tied extreme
+        if value <= rec["min_randic"] or value >= rec["max_randic"]:
+            c6 = canonical_graph6(
+                g or _graph_unchecked(n, tuple(sorted(edges)), tuple(deg)))
             if (value, c6) < (rec["min_randic"], rec["argmin_graph6"]):
                 rec["min_randic"], rec["argmin_graph6"] = value, c6
-        if value >= rec["max_randic"]:
-            c6 = canonical_graph6(g)
             if (-value, c6) < (-rec["max_randic"], rec["argmax_graph6"]):
                 rec["max_randic"], rec["argmax_graph6"] = value, c6
     for graphs, rec, r in keyed.values():
@@ -316,13 +336,6 @@ _CHECK_NAMES = ("identity", "decomposition", "lower-bound", "lower-equality",
                 "upper-bound", "upper-equality", "star-baseline")
 
 
-def _new_verify_counts() -> dict:
-    counts: dict = {"graphs": 0}
-    for name in _CHECK_NAMES:
-        counts[name] = [0, 0, None]  # checked, failures, counterexample
-    return counts
-
-
 def _graph_checks(g: Graph, identity_tol: float,
                   slack_tol: float) -> Iterator[tuple[str, bool]]:
     """(check name, failed) for every per-graph check that applies to g."""
@@ -348,38 +361,16 @@ def _graph_checks(g: Graph, identity_tol: float,
         yield "upper-equality", upper_equal != (r.upper_equality is not None)
 
 
-def _verify_partition(n: int, prefix: tuple[int, ...], identity_tol: float,
-                      slack_tol: float) -> dict:
-    keyed: dict[tuple, list] = {}  # histogram key -> [first graph, graph count]
-    for g in enumerate_graphs(n, min_degree=1, prefix=prefix):
-        key = _histogram_key(g)
+def _verify_partition(n: int, prefix: tuple[int, ...]) -> dict[int, list]:
+    """walk key -> [first graph in enumeration order, graph count]."""
+    keyed: dict[int, list] = {}
+    for edges, deg, key in _walk(n, None, 1, None, prefix):
         entry = keyed.get(key)
         if entry is None:
-            keyed[key] = [g, 1]
+            keyed[key] = [_graph_unchecked(n, tuple(sorted(edges)), tuple(deg)), 1]
         else:
             entry[1] += 1
-    counts = _new_verify_counts()
-    # keys are in order of first appearance, so the first failing key's
-    # first graph is the first failing graph in enumeration order
-    for g, graphs in keyed.values():
-        counts["graphs"] += graphs
-        for name, failed in _graph_checks(g, identity_tol, slack_tol):
-            entry = counts[name]
-            entry[0] += graphs
-            if failed:
-                entry[1] += graphs
-                if entry[2] is None:
-                    entry[2] = to_graph6(g)
-    return counts
-
-
-def _merge_verify_counts(into: dict, other: dict) -> None:
-    into["graphs"] += other["graphs"]
-    for name in _CHECK_NAMES:
-        into[name][0] += other[name][0]
-        into[name][1] += other[name][1]
-        if into[name][2] is None:
-            into[name][2] = other[name][2]
+    return keyed
 
 
 def chain_grid_check(max_degree: int = 9,
@@ -439,16 +430,27 @@ def verify_theorems(n_max: int, jobs: int = 1,
     batches.  A clean run reports zero failures everywhere."""
     if not 1 <= n_max <= MAX_VERTICES:
         raise ValueError(f"n_max must be in [1, {MAX_VERTICES}], got {n_max}")
-    merged = _new_verify_counts()
-    tasks = []
-    for n in range(2, n_max + 1):
-        tasks.extend((n, prefix, identity_tolerance, slack_tolerance)
-                     for prefix in _prefix_tasks(n, jobs))
-    for part in _run(_verify_partition, tasks, jobs):
-        _merge_verify_counts(merged, part)
-    checks = [CheckResult(name, merged[name][0], merged[name][1], merged[name][2])
-              for name in _CHECK_NAMES]
+    tasks = [(n, prefix) for n in range(2, n_max + 1)
+             for prefix in _prefix_tasks(n, jobs)]
+    # tasks run in enumeration order, so each key keeps its first graph and
+    # the keys stay in order of first appearance
+    keyed: dict[tuple[int, int], list] = {}
+    for (n, _), part in zip(tasks, _run(_verify_partition, tasks, jobs)):
+        for key, (g, graphs) in part.items():
+            keyed.setdefault((n, key), [g, 0])[1] += graphs
+    counts = {name: [0, 0, None] for name in _CHECK_NAMES}
+    # the first failing key's first graph is the first failing graph
+    for g, graphs in keyed.values():
+        for name, failed in _graph_checks(g, identity_tolerance, slack_tolerance):
+            entry = counts[name]
+            entry[0] += graphs
+            if failed:
+                entry[1] += graphs
+                if entry[2] is None:
+                    entry[2] = to_graph6(g)
+    checks = [CheckResult(name, *counts[name]) for name in _CHECK_NAMES]
     checks.append(chain_grid_check(identity_tol=identity_tolerance))
     checks.append(gap_positivity_check(identity_tol=identity_tolerance))
-    return VerificationReport(max_n=n_max, graphs=merged["graphs"],
-                              checks=tuple(checks))
+    return VerificationReport(
+        max_n=n_max, graphs=sum(graphs for _, graphs in keyed.values()),
+        checks=tuple(checks))

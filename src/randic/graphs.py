@@ -102,15 +102,13 @@ class Graph:
 
 
 def _graph_unchecked(n: int, edges: tuple[tuple[int, int], ...],
-                     degrees: tuple[int, ...], connected: bool) -> Graph:
-    # Fast path for the enumerator, which builds millions of graphs: the
-    # edges are sorted and valid, and the degrees and connectivity it
-    # already knows are seeded into the caches.
+                     degrees: tuple[int, ...]) -> Graph:
+    # Fast path for the enumerator: the edges are sorted and valid, and the
+    # degrees it already knows are seeded into their cache.
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "edges", edges)
     g.__dict__["degrees"] = degrees
-    g.__dict__["_connected"] = connected
     return g
 
 
@@ -137,13 +135,16 @@ def parse_edge_list(text: str) -> Graph:
     Only a line feed ends a line, and blank lines are skipped.  Self-loops,
     duplicate edges, malformed lines and out-of-range labels are rejected
     with a line-numbered message, and so is the first line holding a
-    non-ASCII or "_" character, before any line is parsed.
+    non-ASCII character, "_", or a control byte that str.split() takes for
+    a space (\\x0b, \\x0c, \\x1c-\\x1f), before any line is parsed.
     """
     # int() would read "1_1" and non-ASCII digits, and split() would split
-    # at a non-ASCII space; the whole-text test keeps clean input fast
-    if "_" in text or not text.isascii():
+    # at a non-ASCII space or at these control bytes; the whole-text test
+    # keeps clean input fast
+    stray = "_\x0b\x0c\x1c\x1d\x1e\x1f"
+    if not text.isascii() or any(c in text for c in stray):
         lineno, raw = next((k, raw) for k, raw in enumerate(text.split("\n"), 1)
-                           if "_" in raw or not raw.isascii())
+                           if not raw.isascii() or any(c in raw for c in stray))
         raise GraphFormatError(
             f"line {lineno}: expected ASCII decimal integers, got {raw!a}")
     n: Optional[int] = None
@@ -204,13 +205,14 @@ def parse_graph6(text: str) -> Graph:
     """Decode a graph6 string (single-byte size, n <= 62).
 
     Bit order: pairs (i, j) for j = 1..n-1, i = 0..j-1, packed big-endian
-    into 6-bit groups, each offset by 63 into printable bytes.  Bytes
-    outside 63..126, a multi-byte size prefix, a wrong byte count, and
+    into 6-bit groups, each offset by 63 into printable bytes.  Only spaces,
+    tabs, carriage returns and line feeds are stripped from the ends; other
+    bytes outside 63..126, a multi-byte size prefix, a wrong byte count, and
     non-zero padding bits are all rejected.
     """
-    s = text.strip()
+    s = text.strip(" \t\r\n")
     if s.startswith(_G6_HEADER):
-        s = s[len(_G6_HEADER):].strip()
+        s = s[len(_G6_HEADER):].strip(" \t\r\n")
     if not s:
         raise GraphFormatError("empty graph6 string")
     for pos, ch in enumerate(s):
@@ -287,16 +289,9 @@ def degree_profile(g: Graph) -> DegreeProfile:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0 (requires n >= 1).
-
-    Graphs from the enumerator carry the answer it decided with adjacency
-    bitmasks; any other graph is searched.
-    """
+    """True iff every vertex is reachable from vertex 0 (requires n >= 1)."""
     if g.n < 1:
         raise ValueError("connectivity undefined for n = 0")
-    seeded = g.__dict__.get("_connected")
-    if seeded is not None:
-        return seeded
     adj = g.adjacency
     seen = bytearray(g.n)
     seen[0] = 1

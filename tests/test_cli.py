@@ -49,23 +49,29 @@ def test_compute_graph6_stream(capsys, monkeypatch):
 
 
 def test_graph6_error_names_its_line(capsys, monkeypatch):
-    code, out, err = run(capsys, ["compute", "--format", "graph6"],
-                         stdin="Dhc\nbad!\n", monkeypatch=monkeypatch)
-    assert code == 2
-    assert "line 2:" in err
-    assert out.startswith("n=5 m=5 randic=2.5 ")  # C5 streamed out first
+    # only " \t\r\n" count as blank, so CRLF lines are still read
+    for stdin, message in (("Dhc\nbad!\n", "line 2:"),
+                           ("Dhc\r\n\x0b\r\n", "line 2: invalid graph6 byte 11 "),
+                           ("Dhc\nDhc\x0c\n", "line 2: invalid graph6 byte 12 ")):
+        code, out, err = run(capsys, ["compute", "--format", "graph6"],
+                             stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 2
+        assert message in err
+        assert out.startswith("n=5 m=5 randic=2.5 ")  # C5 streamed out first
 
 
 def test_graph6_non_ascii_byte_names_its_line(capsys, monkeypatch, tmp_path):
-    data = b"Dhc\nDh\xffc\n"
-    path = tmp_path / "bad.g6"
-    path.write_bytes(data)
-    for argv, stdin in ((["--input", str(path)], None), ([], data)):
-        code, out, err = run(capsys, ["compute", "--format", "graph6", *argv],
-                             stdin=stdin, monkeypatch=monkeypatch)
-        assert code == 2
-        assert err.startswith("error: line 2: invalid graph6 byte 255 ")
-        assert out.startswith("n=5 m=5 randic=2.5 ")
+    # \xa0 and \x85 are whitespace to str.strip(), but neither blank nor graph6
+    for data, byte in ((b"Dhc\nDh\xffc\n", 255), (b"Dhc\n\xa0\n", 160),
+                       (b"Dhc\n\x85\n", 133), (b"Dhc\n\xa0Dhc\n", 160)):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(data)
+        for argv, stdin in ((["--input", str(path)], None), ([], data)):
+            code, out, err = run(capsys, ["compute", "--format", "graph6", *argv],
+                                 stdin=stdin, monkeypatch=monkeypatch)
+            assert code == 2
+            assert err.startswith(f"error: line 2: invalid graph6 byte {byte} ")
+            assert out.startswith("n=5 m=5 randic=2.5 ")
 
 
 def test_compute_json(capsys, monkeypatch):
@@ -99,7 +105,14 @@ def test_compute_malformed_input_exits_2(capsys, monkeypatch):
     (b"3\n0 1\n\xff 2\n", "line 3: expected ASCII decimal integers"),
     (b"3\n0 1\xa02\n", "line 2: expected ASCII decimal integers"),
     (b"3\n0 1\n1_1 2\n", "line 3: expected ASCII decimal integers"),
-    (b"3\n\x0c\n1 1\n", "line 3: self-loop"),     # \x0c ends no line
+    (b"3\n\x0c\n1 1\n",                          # \x0c is no blank
+     "line 2: expected ASCII decimal integers, got '\\x0c'"),
+    (b"3\n0\x1c1\n1 2\n",                        # nor a separator
+     "line 2: expected ASCII decimal integers, got '0\\x1c1'"),
+    (b"3\n0 1\x0b\n", "line 2: expected ASCII decimal integers"),
+    (b"3\n0 1\n1\x1d2\n", "line 3: expected ASCII decimal integers"),
+    (b"3\x1e\n0 1\n", "line 1: expected ASCII decimal integers"),
+    (b"3\n0\x1f1\n", "line 2: expected ASCII decimal integers"),
 ])
 def test_edge_list_error_names_its_line(capsys, monkeypatch, tmp_path, data,
                                         message):

@@ -13,7 +13,7 @@ from randic import (IDENTITY_TOLERANCE, SLACK_TOLERANCE, DegreeChainCertificate,
                     enumerate_graphs, extremal_scan, gap_positivity_check,
                     is_connected, lower_bound, randic_deviation,
                     randic_direct, to_graph6, upper_bound, verify_theorems)
-from randic.enumeration import CheckResult
+from randic.enumeration import CheckResult, _walk
 
 from conftest import _naive_connected, complete_bipartite, naive_graphs, star
 
@@ -37,8 +37,20 @@ def test_seeded_connectivity_matches_naive():
         for min_degree in (None, 1):
             for g in enumerate_graphs(n, min_degree=min_degree):
                 assert is_connected(g) == _naive_connected(n, g.edges)
-                # decided by the enumerator, not by a search
-                assert "adjacency" not in g.__dict__
+
+
+def test_walk_key_is_histogram_and_connectivity():
+    # the key is one-to-one with (per-edge degree-pair counts, connected)
+    for n in range(1, 7):
+        for min_degree in (None, 1):
+            by_key, by_fact = {}, {}
+            for edges, _, key in _walk(n, None, min_degree, None, ()):
+                deg = Counter(v for e in edges for v in e)
+                fact = (frozenset(Counter(tuple(sorted((deg[u], deg[v])))
+                                          for u, v in edges).items()),
+                        _naive_connected(n, edges))
+                assert by_key.setdefault(key, fact) == fact
+                assert by_fact.setdefault(fact, key) == key
 
 
 def test_min_degree_counts():
@@ -330,6 +342,24 @@ def test_verify_matches_direct_evaluation(direct_facts, identity_tol, slack_tol)
                                  slack_tolerance=slack_tol)
         assert report.graphs == len(direct_facts)
         assert list(report.checks[:len(_CHECKS)]) == expected
+
+
+def test_verify_keeps_each_n_apart(direct_facts, monkeypatch):
+    # a walk key is one-to-one only within one n: renumber each n's keys
+    # from 0, so that every n reuses the same keys (jobs=1, one process)
+    walk = randic.enumeration._walk
+    ranks = {}
+
+    def renumbered(n, *args):
+        rank = ranks.setdefault(n, {})
+        for edges, deg, key in walk(n, *args):
+            yield edges, deg, rank.setdefault(key, len(rank))
+
+    monkeypatch.setattr(randic.enumeration, "_walk", renumbered)
+    report = verify_theorems(6, identity_tolerance=4e-16, slack_tolerance=0.05)
+    assert report.graphs == len(direct_facts)
+    assert list(report.checks[:len(_CHECKS)]) == _direct_verify(
+        direct_facts, 4e-16, 0.05)
 
 
 def _direct_scan(facts, connected_only):
