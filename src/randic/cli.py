@@ -113,7 +113,9 @@ def cmd_bounds(args) -> int:
                 report.upper_slack is not None
                 and report.upper_slack < -SLACK_TOLERANCE):
             violation = True
-            print(f"BOUND VIOLATION on {to_graph6(g)}", file=sys.stderr)
+            # graph6 encodes only n <= 62
+            on = to_graph6(g) if g.n <= 62 else f"n={g.n} m={g.m} graph"
+            print(f"BOUND VIOLATION on {on}", file=sys.stderr)
         if args.json:
             print(_dump_json(report.to_json_dict()))
         elif args.csv:

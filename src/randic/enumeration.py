@@ -10,21 +10,21 @@ decided at the leaf.  Enumeration is labeled (no isomorphism reduction); a
 best-effort canonical relabeling is applied only to reported witness graphs.
 
 Every per-graph check of the verification, and every scan statistic but the
-class count and the extremal witnesses, is a function of n, the degree-pair
-histogram and connectivity.  At each leaf the walk therefore computes one
-integer key that encodes the histogram and connectivity, and both folds
-count graphs per key, building a ``Graph`` only for a key's first graph in
-enumeration order (and, in the scan, for a graph that ties its class's
-running extreme).  n = 7 has 1,887,284 graphs with no isolated vertex but
-only 632 keys.  Verify merges the partitions' keys by (n, key) and runs its
-checks once per key for the whole run, weighting each outcome by the key's
-graph count; the scan evaluates each key once per partition.  Both read a
-key's index, bounds, slacks and equality certificates off one
-``bounds_report`` of its first graph.
+extremal witnesses, is a function of n, the degree-pair histogram and
+connectivity.  At each leaf the walk therefore computes one integer key that
+encodes the histogram and connectivity, and both folds count graphs per key,
+building a ``Graph`` only for a key's first graph in enumeration order (and,
+in the scan, for a graph that reaches or ties its class's running extreme).
+n = 7 has 1,887,284 graphs with no isolated vertex but only 632 keys.
+Verify and the scan merge the partitions' keys by (n, key) and evaluate each
+key once for the whole run, weighting each outcome by the key's graph count;
+both read a key's index, bounds, slacks and equality certificates off one
+``bounds_report`` of its first graph.  The scan's witnesses are each class's
+least (R, graph6) and (-R, graph6) pairs.
 
 The scan tree can be partitioned by fixing the first k edge bits; partitions
-are processed independently and merged by min/max/sum, so results do not
-depend on the worker count.
+are processed independently, their key counts summed and their witness pairs
+merged by min, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -193,18 +193,6 @@ CSV_COLUMNS = ("n", "d", "D", "classCount", "minR", "maxR", "argmin", "argmax",
                "lowerEqualityWitnesses", "upperEqualityWitnesses")
 
 
-_COUNT_FIELDS = ("class_count", "lower_violations", "upper_violations",
-                 "lower_equality_witnesses", "upper_equality_witnesses")
-
-
-def _new_class_record() -> dict:
-    # keyed by EnumerationSummary's own field names (all but n, d, D)
-    rec = dict.fromkeys(_COUNT_FIELDS, 0)
-    rec.update(min_randic=math.inf, argmin_graph6="",
-               max_randic=-math.inf, argmax_graph6="")
-    return rec
-
-
 def _run(fn, tasks: list[tuple], jobs: int) -> list:
     """fn(*task) for every task, on up to ``jobs`` worker processes, with the
     results in task order."""
@@ -214,62 +202,44 @@ def _run(fn, tasks: list[tuple], jobs: int) -> list:
     return [fn(*task) for task in tasks]
 
 
+def _merge_keys(tasks: list[tuple], parts: list[dict]) -> dict[tuple[int, int], list]:
+    """(n, walk key) -> [first graph, graph count], merged from each task's
+    {walk key: [first graph, graph count]}; every task starts with its n.
+    Tasks run in enumeration order, so each key keeps its first graph and
+    the keys stay in order of first appearance."""
+    keyed: dict[tuple[int, int], list] = {}
+    for task, part in zip(tasks, parts):
+        for key, (g, graphs) in part.items():
+            keyed.setdefault((task[0], key), [g, 0])[1] += graphs
+    return keyed
+
+
 def _scan_partition(n: int, connected_only: bool,
-                    prefix: tuple[int, ...]) -> dict[tuple[int, int], dict]:
-    records: dict[tuple[int, int], dict] = {}
-    # walk key -> [graph count, class record, bounds report]; record and
-    # report are None for regular graphs, which belong to no class
+                    prefix: tuple[int, ...]) -> tuple[dict, dict]:
+    """({walk key: [first graph, graph count]}, {(d, D): [least (R, graph6),
+    least (-R, graph6)]}) over the partition's graphs with d < D."""
+    # walk key -> [first graph, graph count, R, its class's extremes], where
+    # the extremes are None for a regular key, which belongs to no class
     keyed: dict[int, list] = {}
+    extremes: dict[tuple[int, int], list] = {}
     for edges, deg, key in _walk(n, connected_only or None, 1, None, prefix):
         g = None
         entry = keyed.get(key)
         if entry is None:
-            d, D = min(deg), max(deg)
-            if d == D:
-                entry = keyed[key] = [0, None, None]
-            else:
-                g = _graph_unchecked(n, tuple(sorted(edges)), tuple(deg))
-                rec = records.setdefault((d, D), _new_class_record())
-                entry = keyed[key] = [0, rec, bounds_report(g)]
-        entry[0] += 1
-        rec = entry[1]
-        if rec is None:
-            continue
-        value = entry[2].randic
-        # the same (value, graph6) order as _merge_class_records, with a
-        # graph built and canonical_graph6 run only on a new or tied extreme
-        if value <= rec["min_randic"] or value >= rec["max_randic"]:
+            g = _graph_unchecked(n, tuple(sorted(edges)), tuple(deg))
+            d, D = g.degree_range
+            ext = None if d == D else extremes.setdefault((d, D), [(math.inf, "")] * 2)
+            entry = keyed[key] = [g, 0, randic_direct(g).value, ext]
+        entry[1] += 1
+        _, _, value, ext = entry
+        # a graph is built and canonical_graph6 run only on a new or tied extreme
+        if ext is not None and (value <= ext[0][0] or -value <= ext[1][0]):
             c6 = canonical_graph6(
                 g or _graph_unchecked(n, tuple(sorted(edges)), tuple(deg)))
-            if (value, c6) < (rec["min_randic"], rec["argmin_graph6"]):
-                rec["min_randic"], rec["argmin_graph6"] = value, c6
-            if (-value, c6) < (-rec["max_randic"], rec["argmax_graph6"]):
-                rec["max_randic"], rec["argmax_graph6"] = value, c6
-    for graphs, rec, r in keyed.values():
-        if rec is None:
-            continue
-        rec["class_count"] += graphs
-        if r.lower_slack < -SLACK_TOLERANCE:
-            rec["lower_violations"] += graphs
-        if r.lower_equality is not None:
-            rec["lower_equality_witnesses"] += graphs
-        if r.connected:
-            if r.upper_slack < -SLACK_TOLERANCE:
-                rec["upper_violations"] += graphs
-            if r.upper_equality is not None:
-                rec["upper_equality_witnesses"] += graphs
-    return records
-
-
-def _merge_class_records(into: dict, other: dict) -> None:
-    for key, rec in other.items():
-        dst = into.setdefault(key, _new_class_record())
-        for field in _COUNT_FIELDS:
-            dst[field] += rec[field]
-        if (rec["min_randic"], rec["argmin_graph6"]) < (dst["min_randic"], dst["argmin_graph6"]):
-            dst["min_randic"], dst["argmin_graph6"] = rec["min_randic"], rec["argmin_graph6"]
-        if (-rec["max_randic"], rec["argmax_graph6"]) < (-dst["max_randic"], dst["argmax_graph6"]):
-            dst["max_randic"], dst["argmax_graph6"] = rec["max_randic"], rec["argmax_graph6"]
+            ext[0] = min(ext[0], (value, c6))
+            ext[1] = min(ext[1], (-value, c6))
+    return ({key: entry[:2] for key, entry in keyed.items()
+             if entry[3] is not None}, extremes)
 
 
 def _prefix_tasks(n: int, jobs: int) -> list[tuple[int, ...]]:
@@ -289,12 +259,34 @@ def extremal_scan(n_max: int, connected_only: bool = False,
         raise ValueError(f"n_max must be in [1, {MAX_VERTICES}], got {n_max}")
     tasks = [(n, connected_only, prefix) for n in range(2, n_max + 1)
              for prefix in _prefix_tasks(n, jobs)]
-    merged: dict[int, dict[tuple[int, int], dict]] = {
-        n: {} for n in range(2, n_max + 1)}
-    for (n, _, _), part in zip(tasks, _run(_scan_partition, tasks, jobs)):
-        _merge_class_records(merged[n], part)
-    return [EnumerationSummary(n=n, d=d, D=D, **classes[(d, D)])
-            for n, classes in merged.items() for (d, D) in sorted(classes)]
+    parts = _run(_scan_partition, tasks, jobs)
+    extremes: dict[tuple[int, int, int], list] = {}
+    for (n, _, _), (_, part) in zip(tasks, parts):
+        for (d, D), (low, high) in part.items():
+            ext = extremes.setdefault((n, d, D), [low, high])
+            ext[0], ext[1] = min(ext[0], low), min(ext[1], high)
+    # (n, d, D) -> [graphs, lower and upper violations, lower and upper
+    # equality witnesses], from one report per key for the whole run
+    counts = {cls: [0] * 5 for cls in extremes}
+    for (n, _), (g, graphs) in _merge_keys(tasks, [k for k, _ in parts]).items():
+        r = bounds_report(g)
+        c = counts[n, r.d, r.D]
+        c[0] += graphs
+        if r.lower_slack < -SLACK_TOLERANCE:
+            c[1] += graphs
+        if r.lower_equality is not None:
+            c[3] += graphs
+        if r.connected:
+            if r.upper_slack < -SLACK_TOLERANCE:
+                c[2] += graphs
+            if r.upper_equality is not None:
+                c[4] += graphs
+    summaries = []
+    for (n, d, D), ((low, argmin), (high, argmax)) in sorted(extremes.items()):
+        graphs, *tallies = counts[n, d, D]
+        summaries.append(EnumerationSummary(n, d, D, graphs, low, -high,
+                                            argmin, argmax, *tallies))
+    return summaries
 
 
 @dataclass(frozen=True)
@@ -432,12 +424,7 @@ def verify_theorems(n_max: int, jobs: int = 1,
         raise ValueError(f"n_max must be in [1, {MAX_VERTICES}], got {n_max}")
     tasks = [(n, prefix) for n in range(2, n_max + 1)
              for prefix in _prefix_tasks(n, jobs)]
-    # tasks run in enumeration order, so each key keeps its first graph and
-    # the keys stay in order of first appearance
-    keyed: dict[tuple[int, int], list] = {}
-    for (n, _), part in zip(tasks, _run(_verify_partition, tasks, jobs)):
-        for key, (g, graphs) in part.items():
-            keyed.setdefault((n, key), [g, 0])[1] += graphs
+    keyed = _merge_keys(tasks, _run(_verify_partition, tasks, jobs))
     counts = {name: [0, 0, None] for name in _CHECK_NAMES}
     # the first failing key's first graph is the first failing graph
     for g, graphs in keyed.values():

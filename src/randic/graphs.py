@@ -132,16 +132,19 @@ class DegreeProfile:
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: first line n, then one "u v" per line.
 
-    Only a line feed ends a line, and blank lines are skipped.  Self-loops,
-    duplicate edges, malformed lines and out-of-range labels are rejected
-    with a line-numbered message, and so is the first line holding a
-    non-ASCII character, "_", or a control byte that str.split() takes for
-    a space (\\x0b, \\x0c, \\x1c-\\x1f), before any line is parsed.
+    Only a line feed ends a line, optionally after a carriage return, and
+    blank lines are skipped.  Self-loops, duplicate edges, malformed lines
+    and out-of-range labels are rejected with a line-numbered message, and
+    so is the first line holding a non-ASCII character, "_", a carriage
+    return that does not end the line, or a control byte that str.split()
+    takes for a space (\\x0b, \\x0c, \\x1c-\\x1f), before any line is parsed.
     """
     # int() would read "1_1" and non-ASCII digits, and split() would split
     # at a non-ASCII space or at these control bytes; the whole-text test
-    # keeps clean input fast
-    stray = "_\x0b\x0c\x1c\x1d\x1e\x1f"
+    # keeps clean input fast, and only input holding "\r" is copied
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    stray = "_\r\x0b\x0c\x1c\x1d\x1e\x1f"
     if not text.isascii() or any(c in text for c in stray):
         lineno, raw = next((k, raw) for k, raw in enumerate(text.split("\n"), 1)
                            if not raw.isascii() or any(c in raw for c in stray))

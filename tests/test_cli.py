@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from randic import build_degree_chain, to_graph6
+from randic import (build_biregular, build_degree_chain, format_edge_list,
+                    to_graph6)
 from randic.cli import main
 
 
@@ -113,6 +114,10 @@ def test_compute_malformed_input_exits_2(capsys, monkeypatch):
     (b"3\n0 1\n1\x1d2\n", "line 3: expected ASCII decimal integers"),
     (b"3\x1e\n0 1\n", "line 1: expected ASCII decimal integers"),
     (b"3\n0\x1f1\n", "line 2: expected ASCII decimal integers"),
+    (b"3\n0\r1\n1 2\n",                        # a \r ends no line alone
+     "line 2: expected ASCII decimal integers, got '0\\r1'"),
+    (b"3\n\r0 1\n1 2\n",
+     "line 2: expected ASCII decimal integers, got '\\r0 1'"),
 ])
 def test_edge_list_error_names_its_line(capsys, monkeypatch, tmp_path, data,
                                         message):
@@ -123,6 +128,16 @@ def test_edge_list_error_names_its_line(capsys, monkeypatch, tmp_path, data,
                              monkeypatch=monkeypatch)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]])
+def test_compute_reads_crlf_edge_list(capsys, monkeypatch, fmt):
+    lf = run(capsys, ["compute", *fmt], stdin=STAR4_EDGELIST,
+             monkeypatch=monkeypatch)
+    crlf = run(capsys, ["compute", *fmt],
+               stdin=STAR4_EDGELIST.replace("\n", "\r\n"),
+               monkeypatch=monkeypatch)
+    assert crlf == lf and lf[0] == 0
 
 
 def test_compute_isolated_vertex_exits_2(capsys, monkeypatch):
@@ -170,6 +185,20 @@ def test_bounds_json_golden(capsys, monkeypatch):
         '"upperSlack": 0.216637597414866, "regular": false, "connected": true, '
         '"lowerEquality": {"a": 1, "b": 3, "parts": [[1, 2, 3], [0]]}, '
         '"upperEquality": null}\n')
+
+
+@pytest.mark.parametrize("g, named", [
+    (build_biregular(1, 3), "Cs"),
+    (build_biregular(2, 3, 13), "n=65 m=78 graph"),   # beyond graph6's n <= 62
+])
+def test_bounds_violation_names_its_graph(capsys, monkeypatch, g, named):
+    # a tolerance of -1 takes every slack below 1 for a violation
+    stdin = format_edge_list(g)
+    code, row, err = run(capsys, ["bounds"], stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr("randic.cli.SLACK_TOLERANCE", -1.0)
+    code, out, err = run(capsys, ["bounds"], stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out, err) == (3, row, f"BOUND VIOLATION on {named}\n")
 
 
 def test_bounds_csv_header(capsys, monkeypatch):

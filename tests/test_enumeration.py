@@ -360,9 +360,10 @@ def test_verify_keeps_each_n_apart(direct_facts, monkeypatch):
     assert report.graphs == len(direct_facts)
     assert list(report.checks[:len(_CHECKS)]) == _direct_verify(
         direct_facts, 4e-16, 0.05)
+    assert extremal_scan(6) == _direct_scan(direct_facts, False)
 
 
-def _direct_scan(facts, connected_only):
+def _direct_scan(facts, connected_only, slack_tol=SLACK_TOLERANCE):
     """extremal_scan's records, computed graph by graph."""
     classes = {}
     for f in facts:
@@ -379,9 +380,8 @@ def _direct_scan(facts, connected_only):
                               if f.value == low),
             argmax_graph6=min(canonical_graph6(f.g) for f in members
                               if f.value == high),
-            lower_violations=sum(f.value < f.lb - SLACK_TOLERANCE
-                                 for f in members),
-            upper_violations=sum(f.connected and f.value > f.ub + SLACK_TOLERANCE
+            lower_violations=sum(f.value < f.lb - slack_tol for f in members),
+            upper_violations=sum(f.connected and f.value > f.ub + slack_tol
                                  for f in members),
             lower_equality_witnesses=sum(f.biregular for f in members),
             upper_equality_witnesses=sum(f.connected and f.chain
@@ -390,11 +390,19 @@ def _direct_scan(facts, connected_only):
 
 
 @pytest.mark.parametrize("connected_only", [False, True])
-def test_scan_matches_direct_evaluation(direct_facts, connected_only):
-    expected = _direct_scan(direct_facts, connected_only)
-    for jobs in (1, 2):
-        assert extremal_scan(6, connected_only=connected_only,
-                             jobs=jobs) == expected
+def test_scan_matches_direct_evaluation(direct_facts, monkeypatch,
+                                        connected_only):
+    # a slack of -0.05 takes every graph within 0.05 of a bound for a
+    # violation, so both counters are compared at distinct nonzero values
+    for slack_tol in (SLACK_TOLERANCE, -0.05):
+        monkeypatch.setattr(randic.enumeration, "SLACK_TOLERANCE", slack_tol)
+        expected = _direct_scan(direct_facts, connected_only, slack_tol)
+        lower = sum(s.lower_violations for s in expected)
+        upper = sum(s.upper_violations for s in expected)
+        assert (lower, upper) == (0, 0) if slack_tol > 0 else 0 < lower < upper
+        for jobs in (1, 2):
+            assert extremal_scan(6, connected_only=connected_only,
+                                 jobs=jobs) == expected
 
 
 def test_upper_equality_counted_per_graph(direct_facts, monkeypatch):
