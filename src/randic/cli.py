@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .bounds import SLACK_TOLERANCE, bounds_report
 from .constructions import build_biregular, build_degree_chain, degree_chain_certificate
@@ -50,16 +50,19 @@ def _dump_json(obj) -> str:
     return json.dumps(_json_ready(obj), separators=(", ", ": "))
 
 
-def _read_graphs(path: str, fmt: str) -> Iterator[Graph]:
-    """Edge-list input holds a single graph; graph6 input one graph per line,
-    parsed as it is read, with errors prefixed by their line number."""
+def _read_graphs(path: str, fmt: str,
+                 evaluate: Callable[[Graph], object]) -> Iterator[tuple]:
+    """Yield (g, evaluate(g)) per input graph.  Edge-list input holds a single
+    graph; graph6 input one graph per line, parsed as it is read, and an
+    error parsing or evaluating a line's graph is prefixed by its number."""
     # input is read as bytes and decoded as latin-1, which maps each byte to
     # the code point of its value: the parsers then report a non-ASCII byte
     # on its line, from a file and from stdin alike
     with (nullcontext(sys.stdin.buffer) if path == "-"
           else open(path, "rb")) as fh:
         if fmt == "edgelist":
-            yield parse_edge_list(fh.read().decode("latin-1"))
+            g = parse_edge_list(fh.read().decode("latin-1"))
+            yield g, evaluate(g)
             return
         for lineno, raw in enumerate(fh, start=1):
             line = raw.decode("latin-1")
@@ -67,9 +70,10 @@ def _read_graphs(path: str, fmt: str) -> Iterator[Graph]:
                 continue
             try:
                 g = parse_graph6(line)
-            except GraphFormatError as exc:
-                raise GraphFormatError(f"line {lineno}: {exc}") from None
-            yield g
+                value = evaluate(g)
+            except ValueError as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from None
+            yield g, value
 
 
 def _pairs_text(counts: dict[tuple[int, int], int]) -> str:
@@ -78,8 +82,7 @@ def _pairs_text(counts: dict[tuple[int, int], int]) -> str:
 
 def cmd_compute(args) -> int:
     writer = None
-    for g in _read_graphs(args.input, args.format):
-        rv = randic_direct(g)
+    for g, rv in _read_graphs(args.input, args.format, randic_direct):
         dev = randic_deviation(g)
         residual = abs(rv.value - dev)
         if residual > args.tolerance:
@@ -107,8 +110,7 @@ def cmd_compute(args) -> int:
 def cmd_bounds(args) -> int:
     violation = False
     writer = None
-    for g in _read_graphs(args.input, args.format):
-        report = bounds_report(g)
+    for g, report in _read_graphs(args.input, args.format, bounds_report):
         if report.lower_slack < -SLACK_TOLERANCE or (
                 report.upper_slack is not None
                 and report.upper_slack < -SLACK_TOLERANCE):

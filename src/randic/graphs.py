@@ -9,9 +9,11 @@ Vertices are dense integers 0..n-1.  Two text formats are supported:
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Optional
 
 
@@ -102,13 +104,15 @@ class Graph:
 
 
 def _graph_unchecked(n: int, edges: tuple[tuple[int, int], ...],
-                     degrees: tuple[int, ...]) -> Graph:
-    # Fast path for the enumerator: the edges are sorted and valid, and the
-    # degrees it already knows are seeded into their cache.
+                     degrees: Optional[tuple[int, ...]] = None) -> Graph:
+    # Fast path for the enumerator and parse_graph6, whose edges are sorted
+    # and valid by construction; the degrees the enumerator already knows
+    # are seeded into their cache.
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "edges", edges)
-    g.__dict__["degrees"] = degrees
+    if degrees is not None:
+        g.__dict__["degrees"] = degrees
     return g
 
 
@@ -202,6 +206,14 @@ def format_edge_list(g: Graph) -> str:
 
 
 _G6_HEADER = ">>graph6<<"
+_G6_BAD_BYTE = re.compile(r"[^?-~]")
+# graph6 bit order: the pairs (i, j), i < j, for j = 1, 2, ... and i = 0..j-1,
+# up to n = 62; the pairs of a smaller n are a prefix
+_G6_PAIRS = tuple((i, j) for j in range(1, 62) for i in range(j))
+# each graph6 byte's six bits, most significant first, as code points 0 and 1
+_G6_BITS = {b: "".join(chr((b - 63) >> s & 1) for s in range(5, -1, -1))
+            for b in range(63, 127)}
+_G6_BYTE = {bits: chr(b) for b, bits in _G6_BITS.items()}
 
 
 def parse_graph6(text: str) -> Graph:
@@ -218,11 +230,10 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER):].strip(" \t\r\n")
     if not s:
         raise GraphFormatError("empty graph6 string")
-    for pos, ch in enumerate(s):
-        b = ord(ch)
-        if not 63 <= b <= 126:
-            raise GraphFormatError(
-                f"invalid graph6 byte {b} at position {pos} (must be 63..126)")
+    bad = _G6_BAD_BYTE.search(s)
+    if bad:
+        raise GraphFormatError(f"invalid graph6 byte {ord(bad.group())} at "
+                               f"position {bad.start()} (must be 63..126)")
     if s[0] == "~":
         raise GraphFormatError("multi-byte graph6 sizes (n > 62) not supported")
     n = ord(s[0]) - 63
@@ -231,44 +242,24 @@ def parse_graph6(text: str) -> Graph:
     if len(s) != 1 + nbytes:
         raise GraphFormatError(
             f"graph6 for n={n} needs {1 + nbytes} bytes, got {len(s)}")
-    edges = []
-    t = 0
-    pairs = ((i, j) for j in range(1, n) for i in range(j))
-    for ch in s[1:]:
-        group = ord(ch) - 63
-        for shift in range(5, -1, -1):
-            bit = (group >> shift) & 1
-            if t < nbits:
-                if bit:
-                    edges.append(next(pairs))
-                else:
-                    next(pairs)
-            elif bit:
-                raise GraphFormatError("non-zero padding bits in graph6 string")
-            t += 1
-    # pairs generated in colex order are not sorted lexicographically
-    return Graph(n, tuple(edges))
+    bits = s[1:].translate(_G6_BITS).encode("latin-1")
+    if any(bits[nbits:]):
+        raise GraphFormatError("non-zero padding bits in graph6 string")
+    # the pairs come in colex order, which is not sorted lexicographically
+    return _graph_unchecked(n, tuple(sorted(compress(_G6_PAIRS, bits))))
 
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as graph6 (inverse of parse_graph6); requires n <= 62."""
     if g.n > 62:
         raise ValueError(f"graph6 encoding supports n <= 62, got {g.n}")
+    nbits = g.n * (g.n - 1) // 2
     present = set(g.edges)
-    out = [chr(63 + g.n)]
-    group = 0
-    filled = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            group = (group << 1) | ((i, j) in present)
-            filled += 1
-            if filled == 6:
-                out.append(chr(63 + group))
-                group = 0
-                filled = 0
-    if filled:
-        out.append(chr(63 + (group << (6 - filled))))
-    return "".join(out)
+    bits = "".join(["\x01" if p in present else "\x00"
+                    for p in _G6_PAIRS[:nbits]])
+    bits += "\x00" * (-nbits % 6)
+    return chr(63 + g.n) + "".join(
+        [_G6_BYTE[bits[t:t + 6]] for t in range(0, len(bits), 6)])
 
 
 def degree_profile(g: Graph) -> DegreeProfile:

@@ -50,15 +50,30 @@ def test_compute_graph6_stream(capsys, monkeypatch):
 
 
 def test_graph6_error_names_its_line(capsys, monkeypatch):
-    # only " \t\r\n" count as blank, so CRLF lines are still read
+    # only " \t\r\n" count as blank, so CRLF lines are still read; a graph
+    # that decodes but that the commands reject names its line too
+    first_rows = {"compute": "n=5 m=5 randic=2.5 ",        # C5 streamed out first
+                  "bounds": "n=5 d=2 D=2 randic=2.5 "}
     for stdin, message in (("Dhc\nbad!\n", "line 2:"),
                            ("Dhc\r\n\x0b\r\n", "line 2: invalid graph6 byte 11 "),
-                           ("Dhc\nDhc\x0c\n", "line 2: invalid graph6 byte 12 ")):
-        code, out, err = run(capsys, ["compute", "--format", "graph6"],
-                             stdin=stdin, monkeypatch=monkeypatch)
-        assert code == 2
-        assert message in err
-        assert out.startswith("n=5 m=5 randic=2.5 ")  # C5 streamed out first
+                           ("Dhc\nDhc\x0c\n", "line 2: invalid graph6 byte 12 "),
+                           ("Dhc\nC~\nBG\n", "line 3: isolated vertex present "
+                                             "(all degrees must be positive)\n"),
+                           ("Dhc\n?\n", "line 2: Randic index undefined for "
+                                        "the empty graph\n")):
+        for command, first_row in first_rows.items():
+            code, out, err = run(capsys, [command, "--format", "graph6"],
+                                 stdin=stdin, monkeypatch=monkeypatch)
+            assert code == 2
+            assert message in err
+            assert err.startswith("error: line ")
+            assert out.startswith(first_row)
+    # edge-list input holds one graph, so its messages carry no line
+    for command in first_rows:
+        code, out, err = run(capsys, [command], stdin="3\n0 1\n",
+                             monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == "error: isolated vertex present (all degrees must be positive)\n"
 
 
 def test_graph6_non_ascii_byte_names_its_line(capsys, monkeypatch, tmp_path):

@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 
 import networkx as nx
 import pytest
@@ -107,6 +109,56 @@ def test_parse_graph6_strips_header():
     assert parse_graph6(">>graph6<<C~\n") == complete(4)
 
 
+def oracle_parse_graph6(text: str) -> Graph:
+    """The per-bit graph6 decoder parse_graph6 replaced, kept as its oracle:
+    one step of a colex pair generator per upper-triangle bit."""
+    s = text.strip(" \t\r\n")
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):].strip(" \t\r\n")
+    if not s:
+        raise GraphFormatError("empty graph6 string")
+    for pos, ch in enumerate(s):
+        b = ord(ch)
+        if not 63 <= b <= 126:
+            raise GraphFormatError(
+                f"invalid graph6 byte {b} at position {pos} (must be 63..126)")
+    if s[0] == "~":
+        raise GraphFormatError("multi-byte graph6 sizes (n > 62) not supported")
+    n = ord(s[0]) - 63
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(s) != 1 + nbytes:
+        raise GraphFormatError(
+            f"graph6 for n={n} needs {1 + nbytes} bytes, got {len(s)}")
+    edges = []
+    t = 0
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    for ch in s[1:]:
+        group = ord(ch) - 63
+        for shift in range(5, -1, -1):
+            bit = (group >> shift) & 1
+            if t < nbits:
+                if bit:
+                    edges.append(next(pairs))
+                else:
+                    next(pairs)
+            elif bit:
+                raise GraphFormatError("non-zero padding bits in graph6 string")
+            t += 1
+    return Graph(n, tuple(edges))
+
+
+def pack_graph6(n: int, bits: list[int]) -> str:
+    """graph6 text of n and its upper-triangle bits, zero-padded to 6."""
+    bits = bits + [0] * (-len(bits) % 6)
+    return chr(63 + n) + "".join(
+        chr(63 + int("".join(map(str, bits[t:t + 6])), 2))
+        for t in range(0, len(bits), 6))
+
+
+N62_ZERO_BYTES = "}" + "?" * 315  # n = 62: 1,891 bits in 316 bytes
+
+
 @pytest.mark.parametrize("text, message", [
     ("C=", "invalid graph6 byte"),
     ("~??", "multi-byte"),
@@ -114,17 +166,45 @@ def test_parse_graph6_strips_header():
     ("C", "needs 2 bytes"),
     ("A`", "non-zero padding"),
     ("", "empty"),
+    ("Dh\x7fc", "invalid graph6 byte 127 at position 2 (must be 63..126)"),
+    (">Dhc", "invalid graph6 byte 62 at position 0 (must be 63..126)"),
+    ("A@", "non-zero padding bits in graph6 string"),
+    pytest.param(N62_ZERO_BYTES + "@", "non-zero padding bits in graph6 string",
+                 id="n62-padding"),
+    pytest.param(N62_ZERO_BYTES, "graph6 for n=62 needs 317 bytes, got 316",
+                 id="n62-short"),
+    pytest.param(N62_ZERO_BYTES + "??", "graph6 for n=62 needs 317 bytes, got 318",
+                 id="n62-long"),
 ])
 def test_parse_graph6_errors(text, message):
-    with pytest.raises(GraphFormatError, match=message):
+    with pytest.raises(GraphFormatError, match=re.escape(message)) as ours:
         parse_graph6(text)
+    # the whole message is the oracle's
+    with pytest.raises(GraphFormatError) as theirs:
+        oracle_parse_graph6(text)
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
+def test_parse_graph6_matches_oracle_random(density):
+    rng = random.Random(6062)
+    for n in range(63):
+        bits = [int(rng.random() < density) for _ in range(n * (n - 1) // 2)]
+        s = pack_graph6(n, bits)
+        g = parse_graph6(s)
+        # equality with a validated Graph checks the edge order too
+        assert g == oracle_parse_graph6(s)
+        assert g.edges == tuple(sorted(g.edges))
+        assert g.m == sum(bits)
+        assert to_graph6(g) == s
 
 
 def test_graph6_roundtrip_exhaustive_small():
-    for n in range(5):
+    for n in range(6):
         for g in naive_graphs(n):
             s = to_graph6(g)
             assert parse_graph6(s) == g
+            assert parse_graph6(s) == oracle_parse_graph6(s)
             assert to_graph6(parse_graph6(s)) == s
 
 
