@@ -10,10 +10,12 @@ Vertices are dense integers 0..n-1.  Two text formats are supported:
 from __future__ import annotations
 
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice, repeat
+from operator import add, eq, mul
 from typing import Iterable, Optional
 
 
@@ -105,9 +107,9 @@ class Graph:
 
 def _graph_unchecked(n: int, edges: tuple[tuple[int, int], ...],
                      degrees: Optional[tuple[int, ...]] = None) -> Graph:
-    # Fast path for the enumerator and parse_graph6, whose edges are sorted
-    # and valid by construction; the degrees the enumerator already knows
-    # are seeded into their cache.
+    # Fast path for the enumerator and the parsers, whose edges are sorted
+    # and valid by construction; the degrees the enumerator and
+    # parse_edge_list already know are seeded into their cache.
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "edges", edges)
@@ -142,6 +144,12 @@ def parse_edge_list(text: str) -> Graph:
     so is the first line holding a non-ASCII character, "_", a carriage
     return that does not end the line, or a control byte that str.split()
     takes for a space (\\x0b, \\x0c, \\x1c-\\x1f), before any line is parsed.
+
+    The text is parsed in bulk and returns a sorted Graph with its degrees
+    filled in (none when n > 2m, so no n-sized array is built for a graph
+    that must have an isolated vertex).  Input the bulk pass refuses, a
+    fault or a form such as "+3" that int() reads, is parsed line by line,
+    which reports the first fault in file order.
     """
     # int() would read "1_1" and non-ASCII digits, and split() would split
     # at a non-ASCII space or at these control bytes; the whole-text test
@@ -154,6 +162,62 @@ def parse_edge_list(text: str) -> Graph:
                            if not raw.isascii() or any(c in raw for c in stray))
         raise GraphFormatError(
             f"line {lineno}: expected ASCII decimal integers, got {raw!a}")
+    g = _parse_edge_list_bulk(text)
+    return g if g is not None else _parse_edge_list_lines(text)
+
+
+# the first non-blank line holding one decimal count, up to its line feed
+_EDGE_LIST_HEAD = re.compile(r"[ \t\n]*(\d+)[ \t]*(?=\n|\Z)")
+# the line feed before the first line neither blank nor two decimal labels
+_EDGE_LIST_BAD_LINE = re.compile(r"\n(?![ \t]*(?:\d+[ \t]+\d+[ \t]*)?$)", re.M)
+_EDGE_LIST_CHUNK = 1 << 20
+
+
+def _parse_edge_list_bulk(text: str) -> Optional[Graph]:
+    # None refuses the text: a malformed line, a label beyond the int64
+    # buffer, a self-loop, an out-of-range label or a duplicate edge
+    head = _EDGE_LIST_HEAD.match(text)
+    if head is None or _EDGE_LIST_BAD_LINE.search(text, head.end()):
+        return None
+    n = int(head.group(1))
+    # labels u0 v0 u1 v1 ..., split ~1 MB at a time, each part ending at a
+    # line feed, so no list of every token is built
+    labels = array("q")
+    start = head.end()
+    try:
+        while start < len(text):
+            end = text.find("\n", start + _EDGE_LIST_CHUNK)
+            end = len(text) if end < 0 else end
+            labels.extend(map(int, text[start:end].split()))
+            start = end
+    except OverflowError:
+        return None
+    us, vs = labels[::2], labels[1::2]
+    if labels and max(labels) >= n or any(map(eq, us, vs)):
+        return None
+    # edge (u, v), u < v, as u*n + v: sorting the keys sorts the edges, and
+    # a duplicate is two equal neighbours
+    keys = sorted(map(add, map(mul, map(min, us, vs), repeat(n)), map(max, us, vs)))
+    del labels, us, vs
+    if any(map(eq, keys, islice(keys, 1, None))):
+        return None
+    pairs = map(divmod, keys, repeat(n))
+    if n > 2 * len(keys):
+        return _graph_unchecked(n, tuple(pairs))
+    degrees = [0] * n
+    edges = []
+    append = edges.append
+    for e in pairs:
+        u, v = e
+        degrees[u] += 1
+        degrees[v] += 1
+        append(e)
+    return _graph_unchecked(n, tuple(edges), tuple(degrees))
+
+
+def _parse_edge_list_lines(text: str) -> Graph:
+    # line by line, raising at the first fault; text is ASCII and holds no
+    # stray byte
     n: Optional[int] = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()

@@ -35,7 +35,9 @@ class RandicValue:
 def _checked_degrees(g: Graph) -> tuple[int, ...]:
     if g.n == 0:
         raise ValueError("Randic index undefined for the empty graph")
-    if g.degree_range[0] == 0:
+    # the m edges reach at most 2m vertices; this test needs no n-sized
+    # degree array, which a vertex count such as 10**12 could not hold
+    if g.n > 2 * g.m or g.degree_range[0] == 0:
         raise ValueError("isolated vertex present (all degrees must be positive)")
     return g.degrees
 

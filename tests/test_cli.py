@@ -162,6 +162,27 @@ def test_compute_isolated_vertex_exits_2(capsys, monkeypatch):
     assert "isolated" in err
 
 
+@pytest.mark.parametrize("command", ["compute", "bounds"])
+@pytest.mark.parametrize("stdin", ["1000000000000\n",
+                                   "100000000000000000000\n",
+                                   "1000000000000\n0 1\n"],
+                         ids=["n1e12", "n1e20", "n1e12-one-edge"])
+def test_oversized_vertex_count_exits_2(capsys, monkeypatch, command, stdin):
+    # n > 2m leaves a vertex isolated; no n-sized array is built to see it
+    code, out, err = run(capsys, [command], stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "error: isolated vertex present (all degrees must be positive)\n"
+
+
+def test_label_beyond_machine_integers_is_out_of_range(capsys, monkeypatch):
+    code, out, err = run(capsys, ["compute"],
+                         stdin="3\n0 1\n1 99999999999999999999\n",
+                         monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == ("error: line 3: label out of range [0, 3): "
+                   "'1 99999999999999999999'\n")
+
+
 # ── bounds ────────────────────────────────────────────────────────────
 
 def test_bounds_chain_upper_equality(capsys, monkeypatch):

@@ -91,6 +91,183 @@ def test_format_edge_list_roundtrip():
         assert parse_edge_list(format_edge_list(g)) == g
 
 
+def oracle_parse_edge_list(text: str) -> Graph:
+    """The per-line edge-list parser the bulk parse_edge_list replaced, kept
+    as its oracle: one split, int() and set lookup per line, then a
+    validated Graph."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    stray = "_\r\x0b\x0c\x1c\x1d\x1e\x1f"
+    if not text.isascii() or any(c in text for c in stray):
+        lineno, raw = next((k, raw) for k, raw in enumerate(text.split("\n"), 1)
+                           if not raw.isascii() or any(c in raw for c in stray))
+        raise GraphFormatError(
+            f"line {lineno}: expected ASCII decimal integers, got {raw!a}")
+    n = None
+    edges = []
+    seen = set()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if n is None:
+            if len(tokens) != 1:
+                raise GraphFormatError(
+                    f"line {lineno}: expected the vertex count alone, got {line!r}")
+            try:
+                n = int(tokens[0])
+            except ValueError:
+                raise GraphFormatError(
+                    f"line {lineno}: vertex count is not an integer: {line!r}") from None
+            if n < 0:
+                raise GraphFormatError(f"line {lineno}: negative vertex count {n}")
+            continue
+        if len(tokens) != 2:
+            raise GraphFormatError(
+                f"line {lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise GraphFormatError(
+                f"line {lineno}: endpoints are not integers: {line!r}") from None
+        if u == v:
+            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(
+                f"line {lineno}: label out of range [0, {n}): {line!r}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise GraphFormatError(
+                f"line {lineno}: duplicate edge {key[0]} {key[1]}")
+        seen.add(key)
+        edges.append(key)
+    if n is None:
+        raise GraphFormatError("empty input: missing vertex count line")
+    return Graph(n, tuple(edges))
+
+
+def _label(rng, x, signs):
+    return ("+" if signs and rng.random() < 0.2 else "") + "0" * rng.choice(
+        [0, 0, 0, 1, 2]) + str(x)
+
+
+def _edge_list_lines(rng, n, signs):
+    """A random edge list on n vertices, as the header line and the edge
+    lines in random orientation, spacing and label padding."""
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+    lines = []
+    for u, v in edges:
+        if rng.random() < 0.5:
+            u, v = v, u
+        lines.append(rng.choice(["", " ", "\t"]) + _label(rng, u, signs)
+                     + rng.choice([" ", "\t", "  ", " \t "]) + _label(rng, v, signs)
+                     + rng.choice(["", "", " ", "\t", " \t"]))
+    return [rng.choice(["", " "]) + _label(rng, n, signs)] + lines
+
+
+def _edge_list_text(rng, lines):
+    """The lines joined with blank lines between some, in LF or CRLF, with
+    or without a final line feed."""
+    out = []
+    for line in lines:
+        while rng.random() < 0.15:
+            out.append(rng.choice(["", " ", "\t", " \t "]))
+        out.append(line)
+    text = "\n".join(out) + rng.choice(["", "\n", "\n\n"])
+    return text.replace("\n", "\r\n") if rng.random() < 0.2 else text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+def _fault(rng, n, lines):
+    """Insert one faulty line among the edge lines."""
+    pairs = [k for k in range(1, len(lines)) if len(lines[k].split()) == 2]
+    u = rng.randrange(max(n, 1))
+    kinds = ["self-loop", "range", "one", "three", "word"]
+    if pairs:
+        kinds.append("duplicate")
+    kind = rng.choice(kinds)
+    at = rng.randint(1, len(lines))
+    if kind == "self-loop":
+        line = f"{u} {u}"
+    elif kind == "duplicate":
+        # after the line it repeats, in either orientation
+        k = rng.choice(pairs)
+        a, b = lines[k].split()
+        line = rng.choice([f"{a} {b}", f"{b} {a}"])
+        at = rng.randint(k + 1, len(lines))
+    elif kind == "range":
+        line = rng.choice([f"{u} {n + rng.randrange(3)}", f"{n} {u}",
+                           f"{u} {2 ** 64 + n}", f"-{u + 1} {u}"])
+    elif kind == "one":
+        line = f"{u}"
+    elif kind == "three":
+        line = f"{u} {u + 1} {u + 2}"
+    else:
+        line = rng.choice([f"{u} x", f"a{u} 1", f"{u}.0 1", f"{u} 0x1"])
+    return lines[:at] + [line] + lines[at:]
+
+
+@pytest.mark.parametrize("signs", [False, True])
+def test_parse_edge_list_matches_oracle_random(signs):
+    rng = random.Random(1642 + signs)
+    for _ in range(400):
+        n = rng.randint(0, 12)
+        lines = _edge_list_lines(rng, n, signs)
+        text = _edge_list_text(rng, lines)
+        g = parse_edge_list(text)
+        assert g == oracle_parse_edge_list(text)
+        assert g.edges == tuple(sorted(g.edges))
+        if not signs and g.n <= 2 * g.m:
+            # the bulk pass took the text and seeded the degrees
+            assert "degrees" in vars(g)
+            assert g.degrees == Graph(g.n, g.edges).degrees
+
+
+@pytest.mark.parametrize("faults", [1, 2])
+def test_parse_edge_list_errors_match_oracle_random(faults):
+    rng = random.Random(1643 + faults)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        lines = _edge_list_lines(rng, n, signs=False)
+        for _ in range(faults):
+            lines = _fault(rng, n, lines)
+        text = _edge_list_text(rng, lines)
+        message = _outcome(oracle_parse_edge_list, text)
+        assert isinstance(message, str)
+        assert _outcome(parse_edge_list, text) == message
+
+
+@pytest.mark.parametrize("text", [
+    "3\n0 1\n1 99999999999999999999\n",     # beyond a machine integer
+    "3\n0 1\n1 +2\n1 0\n",                   # "+2" is refused by the bulk pass
+    "+3\n0 1\n1 2\n",
+    "3\n0 1\n-0 2\n",
+    "1000000000000\n0 1\n",
+    "100000000000000000000\n0 99999999999999999999\n",
+    "0\n",
+    "2\n0 1",
+    " \n\t\n 03 \n0 1",
+    "3 4\n0 1\n",
+    "\n \n",
+])
+def test_parse_edge_list_edge_cases_match_oracle(text):
+    assert _outcome(parse_edge_list, text) == _outcome(oracle_parse_edge_list, text)
+
+
+def test_parse_edge_list_seeds_no_degrees_with_an_isolated_vertex():
+    # n > 2m: the parser builds no n-sized degree array
+    g = parse_edge_list("1000000000000\n0 1\n")
+    assert g == Graph(10 ** 12, ((0, 1),)) and "degrees" not in vars(g)
+
+
 # ── graph6 format ─────────────────────────────────────────────────────
 
 def test_parse_graph6_k4():
