@@ -14,8 +14,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice, repeat
-from operator import add, eq, mul
+from itertools import chain, compress, islice, repeat
+from operator import add, itemgetter, lt, mul
 from typing import Iterable, Optional
 
 
@@ -29,9 +29,10 @@ class Graph:
 
     Any iterable of vertex pairs is accepted; edges are normalized to
     ``(min, max)`` and sorted.  Self-loops, duplicates and out-of-range
-    labels are rejected.  ``degrees``, ``degree_range``, ``adjacency`` and
-    the degree-pair histogram ``pair_counts`` are computed on first use and
-    cached.
+    labels are rejected.  Edges already in that form, a tuple of int pairs
+    in increasing order, are checked in bulk and kept as given.
+    ``degrees``, ``degree_range``, ``adjacency`` and the degree-pair
+    histogram ``pair_counts`` are computed on first use and cached.
     """
 
     n: int
@@ -40,8 +41,12 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"vertex count must be non-negative, got {self.n}")
+        edges = tuple(self.edges)
+        if _is_canonical(self.n, edges):
+            object.__setattr__(self, "edges", edges)
+            return
         norm = []
-        for e in self.edges:
+        for e in edges:
             u, v = e
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -105,11 +110,27 @@ class Graph:
         return Graph(self.n, tuple((p[u], p[v]) for u, v in self.edges))
 
 
+def _is_canonical(n: int, edges: tuple) -> bool:
+    # True when edges is already what Graph.__post_init__ makes of it: int
+    # pairs (u, v) with 0 <= u < v < n in strictly increasing order, so with
+    # no self-loop or duplicate; checked in C-level passes, no per-edge loop
+    if not edges:
+        return True
+    if ({*map(type, edges)} != {tuple} or {*map(len, edges)} != {2}
+            or {*map(type, chain.from_iterable(edges))} != {int}):
+        return False
+    # iterators, not lists: no m-sized copy beside the edges
+    first, second = itemgetter(0), itemgetter(1)
+    return (edges[0][0] >= 0 and max(map(second, edges)) < n
+            and all(map(lt, map(first, edges), map(second, edges)))
+            and all(map(lt, edges, islice(edges, 1, None))))
+
+
 def _graph_unchecked(n: int, edges: tuple[tuple[int, int], ...],
                      degrees: Optional[tuple[int, ...]] = None) -> Graph:
-    # Fast path for the enumerator and the parsers, whose edges are sorted
-    # and valid by construction; the degrees the enumerator and
-    # parse_edge_list already know are seeded into their cache.
+    # Fast path for the enumerator and parse_graph6, whose edges are sorted
+    # and valid by construction; the degrees the enumerator already knows
+    # are seeded into their cache.
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "edges", edges)
@@ -174,45 +195,57 @@ _EDGE_LIST_CHUNK = 1 << 20
 
 
 def _parse_edge_list_bulk(text: str) -> Optional[Graph]:
-    # None refuses the text: a malformed line, a label beyond the int64
-    # buffer, a self-loop, an out-of-range label or a duplicate edge
+    # None refuses the text: a malformed line, a label int() or the int64
+    # buffer cannot hold, an out-of-range label, or a self-loop or duplicate
+    # edge, which Graph rejects
     head = _EDGE_LIST_HEAD.match(text)
     if head is None or _EDGE_LIST_BAD_LINE.search(text, head.end()):
         return None
-    n = int(head.group(1))
     # labels u0 v0 u1 v1 ..., split ~1 MB at a time, each part ending at a
     # line feed, so no list of every token is built
     labels = array("q")
     start = head.end()
     try:
+        n = int(head.group(1))
         while start < len(text):
             end = text.find("\n", start + _EDGE_LIST_CHUNK)
             end = len(text) if end < 0 else end
             labels.extend(map(int, text[start:end].split()))
             start = end
-    except OverflowError:
+    except (OverflowError, ValueError):
         return None
-    us, vs = labels[::2], labels[1::2]
-    if labels and max(labels) >= n or any(map(eq, us, vs)):
+    if labels and max(labels) >= n:
         return None
     # edge (u, v), u < v, as u*n + v: sorting the keys sorts the edges, and
-    # a duplicate is two equal neighbours
+    # labels below n decode back with divmod
+    us, vs = labels[::2], labels[1::2]
     keys = sorted(map(add, map(mul, map(min, us, vs), repeat(n)), map(max, us, vs)))
     del labels, us, vs
-    if any(map(eq, keys, islice(keys, 1, None))):
-        return None
     pairs = map(divmod, keys, repeat(n))
+    degrees = None
     if n > 2 * len(keys):
-        return _graph_unchecked(n, tuple(pairs))
-    degrees = [0] * n
-    edges = []
-    append = edges.append
-    for e in pairs:
-        u, v = e
-        degrees[u] += 1
-        degrees[v] += 1
-        append(e)
-    return _graph_unchecked(n, tuple(edges), tuple(degrees))
+        edges = tuple(pairs)
+    else:
+        deg = [0] * n
+        edges = []
+        append = edges.append
+        for e in pairs:
+            u, v = e
+            deg[u] += 1
+            deg[v] += 1
+            append(e)
+        edges = tuple(edges)
+        degrees = tuple(deg)
+    del keys
+    try:
+        # sorted pairs pass Graph's check in bulk, which finds a self-loop
+        # as u == v and a duplicate as two equal neighbours
+        g = Graph(n, edges)
+    except ValueError:
+        return None
+    if degrees is not None:
+        g.__dict__["degrees"] = degrees
+    return g
 
 
 def _parse_edge_list_lines(text: str) -> Graph:

@@ -46,6 +46,91 @@ def test_graph_rejects_invalid(n, edges, message):
         Graph(n, edges)
 
 
+def oracle_graph_edges(n, edges):
+    """The edges Graph's per-edge loop makes of its input, or the type and
+    message of what it raises; kept as the oracle of the bulk check that
+    takes input already in canonical form."""
+    try:
+        if n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {n}")
+        norm = []
+        for e in edges:
+            u, v = e
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if u > v:
+                u, v = v, u
+            if u < 0 or v >= n:
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            norm.append((u, v))
+        norm.sort()
+        for a, b in zip(norm, norm[1:]):
+            if a == b:
+                raise ValueError(f"duplicate edge ({a[0]}, {a[1]})")
+        return tuple(norm)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _graph_edges(n, edges):
+    try:
+        return Graph(n, edges).edges
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _perturb(rng, n, edges):
+    """One change that may take canonical edges out of canonical form."""
+    edges = list(edges)
+    k = rng.randrange(len(edges))
+    u, v = edges[k][:2]
+    kind = rng.choice(["swap", "flip", "repeat", "loop", "range", "negative",
+                       "list", "triple", "bool", "float", "str"])
+    if kind == "swap":
+        j = rng.randrange(len(edges))
+        edges[k], edges[j] = edges[j], edges[k]
+    elif kind == "flip":
+        edges[k] = (v, u)
+    elif kind == "repeat":
+        edges.insert(k, (u, v))
+    elif kind == "loop":
+        edges[k] = (u, u)
+    elif kind == "range":
+        edges[k] = (u, n + rng.randrange(2))
+    elif kind == "negative":
+        edges[k] = (-1, v)
+    elif kind == "list":
+        edges[k] = [u, v]
+    elif kind == "triple":
+        edges[k] = (u, v, v)
+    elif kind == "bool":
+        edges[k] = (False, True) if (u, v) == (0, 1) else (u, float(v))
+    elif kind == "float":
+        edges[k] = (float(u), v)
+    else:
+        edges[k] = (str(u), str(v))
+    return tuple(edges)
+
+
+def test_graph_takes_canonical_edges_as_the_per_edge_loop_does():
+    rng = random.Random(1644)
+    for _ in range(600):
+        n = rng.randint(2, 9)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = tuple(sorted(rng.sample(pairs, rng.randint(1, len(pairs)))))
+        assert Graph(n, edges).edges is edges
+        for _ in range(rng.randint(1, 2)):
+            edges = _perturb(rng, n, edges)
+        got = _graph_edges(n, edges)
+        assert got == oracle_graph_edges(n, edges)
+        if not isinstance(got[0], type):
+            assert [tuple(map(type, e)) for e in got] == [
+                tuple(map(type, e)) for e in oracle_graph_edges(n, edges)]
+    assert _graph_edges(3, iter([(0, 1), (1, 2)])) == ((0, 1), (1, 2))
+    assert _graph_edges(3, [[0, 1], (1, 2)]) == ((0, 1), (1, 2))
+    assert _graph_edges(0, ()) == ()
+
+
 def test_relabel_roundtrip():
     g = star(4)
     h = g.relabel([3, 0, 1, 2])
@@ -257,6 +342,9 @@ def test_parse_edge_list_errors_match_oracle_random(faults):
     " \n\t\n 03 \n0 1",
     "3 4\n0 1\n",
     "\n \n",
+    # beyond int()'s default limit of 4300 digits
+    pytest.param("1" * 4301 + "\n0 1\n", id="count-of-4301-digits"),
+    pytest.param("3\n0 1\n1 " + "2" * 4301 + "\n", id="label-of-4301-digits"),
 ])
 def test_parse_edge_list_edge_cases_match_oracle(text):
     assert _outcome(parse_edge_list, text) == _outcome(oracle_parse_edge_list, text)
