@@ -32,7 +32,9 @@ class Graph:
     labels are rejected.  Edges already in that form, a tuple of int pairs
     in increasing order, are checked in bulk and kept as given.
     ``degrees``, ``degree_range``, ``adjacency`` and the degree-pair
-    histogram ``pair_counts`` are computed on first use and cached.
+    histogram ``pair_counts`` are computed on first use and cached; only
+    the 2-coloring of a regular graph in ``biregular_certificate`` and
+    ``canonical_graph6`` read ``adjacency``.
     """
 
     n: int
@@ -367,9 +369,11 @@ def degree_profile(g: Graph) -> DegreeProfile:
     """
     if g.n == 0:
         raise ValueError("degree profile undefined for the empty graph")
-    d, D = g.degree_range
-    if d == 0:
+    # more than 2m vertices cannot all meet an edge: refused before any
+    # n-sized array is built
+    if g.n > 2 * g.m or g.degree_range[0] == 0:
         raise ValueError("isolated vertex present (minimum degree must be positive)")
+    d, D = g.degree_range
     deg = g.degrees
     sizes = {i: 0 for i in range(d, D + 1)}
     for x in deg:
@@ -380,22 +384,36 @@ def degree_profile(g: Graph) -> DegreeProfile:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0 (requires n >= 1)."""
-    if g.n < 1:
+    """True iff every vertex is reachable from vertex 0 (requires n >= 1).
+
+    A union-find over the edges, with path halving and the larger root
+    linked under the smaller, stops as soon as one set is left; no
+    adjacency is built.  A graph with fewer than n - 1 edges has no
+    spanning tree, so it is refused before anything n-sized is allocated.
+    """
+    n = g.n
+    if n < 1:
         raise ValueError("connectivity undefined for n = 0")
-    adj = g.adjacency
-    seen = bytearray(g.n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                stack.append(w)
-    return count == g.n
+    if len(g.edges) < n - 1:
+        return False
+    if n == 1:
+        return True
+    parent = array("q", range(n))
+    sets = n
+    for u, v in g.edges:
+        while (p := parent[u]) != u:
+            parent[u] = u = parent[p]
+        while (p := parent[v]) != v:
+            parent[v] = v = parent[p]
+        if u != v:
+            if u < v:
+                parent[v] = u
+            else:
+                parent[u] = v
+            sets -= 1
+            if sets == 1:
+                return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -417,9 +435,10 @@ def biregular_certificate(g: Graph) -> Optional[BiregularCertificate]:
     and no traversal is needed.  A regular graph qualifies iff it is
     bipartite; each component's lowest-labeled vertex goes on the first
     side.  Graphs with a degree-0 vertex never qualify (the degenerate
-    (0, b) reading is not useful here).
+    (0, b) reading is not useful here), and more than 2m vertices mean one
+    is there, so such a graph is refused before any n-sized array is built.
     """
-    if not g.edges:
+    if not g.edges or g.n > 2 * g.m:
         return None
     deg = g.degrees
     d, D = g.degree_range

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 
@@ -8,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randic import (Graph, GraphFormatError, biregular_certificate,
-                    degree_chain_certificate, degree_multiset, degree_profile,
-                    format_edge_list, is_connected, parse_edge_list,
-                    parse_graph6, randic_direct, to_graph6)
+                    bounds_report, degree_chain_certificate, degree_multiset,
+                    degree_profile, format_edge_list, is_connected,
+                    parse_edge_list, parse_graph6, randic_direct, to_graph6)
 
-from conftest import (complete, complete_bipartite, cycle, disjoint_union,
-                      naive_graphs, path, star)
+from conftest import (_naive_connected, complete, complete_bipartite, cycle,
+                      disjoint_union, naive_graphs, path, star)
 
 
 def graph_strategy(max_n=7, min_n=0):
@@ -598,6 +599,79 @@ def test_is_connected_examples():
     assert not is_connected(Graph(2, ()))
     with pytest.raises(ValueError):
         is_connected(Graph(0, ()))
+
+
+def _random_component(rng, n):
+    """Edges on 0..n-1 of a tree, path, cycle or sparse G(n, p), the last
+    possibly disconnected itself."""
+    kind = rng.choice(("tree", "path", "cycle", "gnp"))
+    if kind == "tree":
+        return [(rng.randrange(i), i) for i in range(1, n)]
+    if kind == "path" or (kind == "cycle" and n < 3):
+        return [(i, i + 1) for i in range(n - 1)]
+    if kind == "cycle":
+        return [(i, (i + 1) % n) for i in range(n)]
+    # G(n, p) with n * p in [0.5, 4): below, near and above the threshold
+    # at which it becomes connected; the gaps between the chosen pairs, in
+    # the order (0, 1), (0, 2), (1, 2), (0, 3), ..., are geometric
+    p = min(rng.uniform(0.5, 4.0) / n, 0.9)
+    edges, u, v = [], -1, 1
+    while v < n:
+        u += 1 + int(math.log(1.0 - rng.random()) / math.log(1.0 - p))
+        while u >= v and v < n:
+            u, v = u - v, v + 1
+        if v < n:
+            edges.append((u, v))
+    return edges
+
+
+def _random_union(rng):
+    """A relabeled disjoint union of 1-3 random components, n up to ~3,000."""
+    edges, n = [], 0
+    for _ in range(rng.randint(1, 3)):
+        size = int(round(math.exp(rng.uniform(0, math.log(1000)))))
+        edges += [(u + n, v + n) for u, v in _random_component(rng, size)]
+        n += size
+    return Graph(n, tuple(edges)).relabel(rng.sample(range(n), n))
+
+
+def test_is_connected_matches_naive_on_random_graphs():
+    rng = random.Random(20260)
+    seen = {True: 0, False: 0}
+    spanning = 0  # disconnected yet with at least n - 1 edges
+    for _ in range(300):
+        g = _random_union(rng)
+        want = _naive_connected(g.n, g.edges)
+        assert is_connected(g) == want, (g.n, g.edges)
+        assert "adjacency" not in g.__dict__
+        seen[want] += 1
+        spanning += not want and g.m >= g.n - 1
+    assert min(seen.values()) >= 50 and spanning >= 20
+
+
+def test_bounds_report_on_a_non_regular_graph_builds_no_adjacency():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 40:
+        g = _random_union(rng)
+        if g.n > 2 * g.m or g.degree_range[0] in (0, g.degree_range[1]):
+            continue
+        assert bounds_report(g).connected == _naive_connected(g.n, g.edges)
+        assert "adjacency" not in g.__dict__
+        checked += 1
+
+
+@pytest.mark.parametrize("g", [Graph(10 ** 12, ((0, 1),)), Graph(10 ** 20, ())],
+                         ids=["1e12-one-edge", "1e20-no-edge"])
+def test_more_vertices_than_twice_the_edges_allocate_nothing_n_sized(g):
+    # every reader below refuses the graph before building an n-sized array,
+    # which these vertex counts could not hold
+    assert not is_connected(g)
+    assert biregular_certificate(g) is None
+    with pytest.raises(ValueError, match="isolated vertex present "
+                                         r"\(minimum degree must be positive\)"):
+        degree_profile(g)
+    assert "degrees" not in g.__dict__ and "adjacency" not in g.__dict__
 
 
 # ── Biregular certificates ────────────────────────────────────────────
