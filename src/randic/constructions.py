@@ -137,9 +137,10 @@ def degree_chain_certificate(g: Graph) -> Optional[DegreeChainCertificate]:
     """
     if g.n == 0:
         raise ValueError("membership undefined for the empty graph")
-    d, D = g.degree_range
-    if d == 0:
+    # n > 2m leaves a vertex with no edge: refused before anything n-sized
+    if g.n > 2 * g.m or g.degree_range[0] == 0:
         raise ValueError("isolated vertex present (all degrees must be positive)")
+    d, D = g.degree_range
     if d == D:
         raise ValueError("membership defined only for d < D (graph is regular)")
     # Unequal keys are distinct pairs inside [d, D]; D - d of them, all of

@@ -30,6 +30,7 @@ merged by min, so results do not depend on the worker count.
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -149,9 +150,12 @@ def canonical_graph6(g: Graph) -> str:
     to different strings.  Good enough to deduplicate reported witnesses.
     """
     deg = g.degrees
-    adj = g.adjacency
-    key = [(deg[v], tuple(sorted(deg[w] for w in adj[v]))) for v in range(g.n)]
-    order = sorted(range(g.n), key=lambda v: key[v])
+    nbr_degs = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbr_degs[u].append(deg[v])
+        nbr_degs[v].append(deg[u])
+    key = [(deg[v], sorted(ds)) for v, ds in enumerate(nbr_degs)]
+    order = sorted(range(g.n), key=key.__getitem__)
     perm = [0] * g.n
     for new, old in enumerate(order):
         perm[old] = new
@@ -242,6 +246,15 @@ def _scan_partition(n: int, connected_only: bool,
              if entry[3] is not None}, extremes)
 
 
+def _cap_jobs(jobs: int) -> int:
+    """jobs, at most the CPUs this process may run on; more would only add
+    idle processes and prefix tasks."""
+    try:
+        return min(jobs, len(os.sched_getaffinity(0)))
+    except AttributeError:  # not on every platform
+        return min(jobs, os.cpu_count() or 1)
+
+
 def _prefix_tasks(n: int, jobs: int) -> list[tuple[int, ...]]:
     total = n * (n - 1) // 2
     if jobs <= 1 or total == 0:
@@ -257,6 +270,7 @@ def extremal_scan(n_max: int, connected_only: bool = False,
     per-class extremal statistics.  Violation counts must come back zero."""
     if not 1 <= n_max <= MAX_VERTICES:
         raise ValueError(f"n_max must be in [1, {MAX_VERTICES}], got {n_max}")
+    jobs = _cap_jobs(jobs)
     tasks = [(n, connected_only, prefix) for n in range(2, n_max + 1)
              for prefix in _prefix_tasks(n, jobs)]
     parts = _run(_scan_partition, tasks, jobs)
@@ -422,6 +436,7 @@ def verify_theorems(n_max: int, jobs: int = 1,
     batches.  A clean run reports zero failures everywhere."""
     if not 1 <= n_max <= MAX_VERTICES:
         raise ValueError(f"n_max must be in [1, {MAX_VERTICES}], got {n_max}")
+    jobs = _cap_jobs(jobs)
     tasks = [(n, prefix) for n in range(2, n_max + 1)
              for prefix in _prefix_tasks(n, jobs)]
     keyed = _merge_keys(tasks, _run(_verify_partition, tasks, jobs))

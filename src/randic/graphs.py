@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
-from operator import add, itemgetter, lt, mul
+from operator import add, eq, gt, itemgetter, lt, mul
 from typing import Iterable, Optional
 
 
@@ -31,10 +31,9 @@ class Graph:
     ``(min, max)`` and sorted.  Self-loops, duplicates and out-of-range
     labels are rejected.  Edges already in that form, a tuple of int pairs
     in increasing order, are checked in bulk and kept as given.
-    ``degrees``, ``degree_range``, ``adjacency`` and the degree-pair
-    histogram ``pair_counts`` are computed on first use and cached; only
-    the 2-coloring of a regular graph in ``biregular_certificate`` and
-    ``canonical_graph6`` read ``adjacency``.
+    ``degrees``, ``degree_range`` and the degree-pair histogram
+    ``pair_counts`` are computed on first use and cached; every other fact
+    is read off the sorted edges.
     """
 
     n: int
@@ -80,14 +79,6 @@ class Graph:
         """(minimum degree, maximum degree); requires n >= 1."""
         deg = self.degrees
         return min(deg), max(deg)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(a) for a in adj)
 
     @cached_property
     def pair_counts(self) -> dict[tuple[int, int], int]:
@@ -386,21 +377,25 @@ def degree_profile(g: Graph) -> DegreeProfile:
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 0 (requires n >= 1).
 
-    A union-find over the edges, with path halving and the larger root
-    linked under the smaller, stops as soon as one set is left; no
-    adjacency is built.  A graph with fewer than n - 1 edges has no
-    spanning tree, so it is refused before anything n-sized is allocated.
+    A union-find over the edges (``_unite``) stops once n - 1 merges leave
+    one set.  A graph with fewer than n - 1 edges has no spanning tree, so
+    it is refused before anything n-sized is allocated.
     """
     n = g.n
     if n < 1:
         raise ValueError("connectivity undefined for n = 0")
     if len(g.edges) < n - 1:
         return False
-    if n == 1:
-        return True
-    parent = array("q", range(n))
-    sets = n
-    for u, v in g.edges:
+    return _unite(array("q", range(n)), g.edges, n - 1) == n - 1
+
+
+def _unite(parent: array, pairs: Iterable[tuple[int, int]], merges: int) -> int:
+    """Union-find: join each pair's sets in the forest ``parent``, stopping
+    after ``merges`` merges, and return the merges made.  Paths are halved
+    and the larger root goes under the smaller, so a parent's label never
+    exceeds its child's and each root is its set's least label."""
+    made = 0
+    for u, v in pairs:
         while (p := parent[u]) != u:
             parent[u] = u = parent[p]
         while (p := parent[v]) != v:
@@ -410,10 +405,10 @@ def is_connected(g: Graph) -> bool:
                 parent[v] = u
             else:
                 parent[u] = v
-            sets -= 1
-            if sets == 1:
-                return True
-    return False
+            made += 1
+            if made == merges:
+                break
+    return made
 
 
 @dataclass(frozen=True)
@@ -433,40 +428,38 @@ def biregular_certificate(g: Graph) -> Optional[BiregularCertificate]:
     every edge joins a degree-d vertex to a degree-D vertex, which the
     degree-pair histogram records: the parts are the two degree classes
     and no traversal is needed.  A regular graph qualifies iff it is
-    bipartite; each component's lowest-labeled vertex goes on the first
-    side.  Graphs with a degree-0 vertex never qualify (the degenerate
-    (0, b) reading is not useful here), and more than 2m vertices mean one
-    is there, so such a graph is refused before any n-sized array is built.
+    bipartite: in its double cover, where edge (u, v) joins u to v + n and
+    u + n to v, v meets its copy v + n iff v's component has an odd cycle;
+    otherwise v goes second iff its root is above its copy's, so each
+    component's lowest-labeled vertex goes first.  Graphs with a degree-0
+    vertex never qualify (the degenerate (0, b) reading is not useful
+    here), and more than 2m vertices mean one is there, so such a graph is
+    refused before any n-sized array is built.
     """
     if not g.edges or g.n > 2 * g.m:
         return None
-    deg = g.degrees
+    n = g.n
     d, D = g.degree_range
     if d < D:
         # a degree-0 vertex has no edge, so its degree never shows as a key
         if g.pair_counts.keys() != {(d, D)}:
             return None
-        side = [x == D for x in deg]
+        side = [x == D for x in g.degrees]
     else:
-        adj = g.adjacency
-        side = [None] * g.n
-        for start in range(g.n):
-            if side[start] is not None:
-                continue
-            side[start] = False
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if side[w] is None:
-                        side[w] = not side[u]
-                        stack.append(w)
-                    elif side[w] == side[u]:
-                        return None  # odd cycle
+        parent = array("q", range(2 * n))
+        _unite(parent, chain(((u, v + n) for u, v in g.edges),
+                             ((u + n, v) for u, v in g.edges)), 2 * n - 1)
+        # parents precede children, so one pass in label order finds roots
+        for v in range(2 * n):
+            parent[v] = parent[parent[v]]
+        roots, copies = parent[:n], parent[n:]
+        if any(map(eq, roots, copies)):
+            return None  # odd cycle
+        side = list(map(gt, roots, copies))
     return BiregularCertificate(
         a=d, b=D,
-        parts=(tuple(v for v in range(g.n) if not side[v]),
-               tuple(v for v in range(g.n) if side[v])))
+        parts=(tuple(v for v in range(n) if not side[v]),
+               tuple(v for v in range(n) if side[v])))
 
 
 def degree_multiset(g: Graph) -> dict[int, int]:

@@ -7,6 +7,7 @@ with the pruned generator under test.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from typing import Iterator, Optional
 
@@ -50,6 +51,32 @@ def _naive_connected(n: int, edges) -> bool:
         reach |= nxt
         frontier = nxt
     return len(reach) == n
+
+
+def bfs_two_coloring(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The two parts of a proper 2-coloring with each component's
+    lowest-labeled vertex in the first part, or None when g has an odd
+    cycle; a breadth-first search over adjacency lists."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    side: list[Optional[bool]] = [None] * g.n
+    for start in range(g.n):
+        if side[start] is not None:
+            continue
+        side[start] = False
+        queue = collections.deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if side[w] is None:
+                    side[w] = not side[u]
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    return None
+    return (tuple(v for v in range(g.n) if not side[v]),
+            tuple(v for v in range(g.n) if side[v]))
 
 
 def star(n: int) -> Graph:

@@ -214,14 +214,15 @@ def test_verify_worker_count_invariance():
     assert verify_theorems(5, jobs=1) == verify_theorems(5, jobs=3)
 
 
-def test_pool_never_larger_than_task_list(monkeypatch):
-    sizes = []
+def _record_pools(monkeypatch, cpus):
+    """Let this process run on ``cpus`` CPUs and replace multiprocessing.Pool
+    by a stand-in that runs its tasks inline, so no process is started;
+    returns the list the stand-in appends (pool size, task count) to."""
+    pools = []
 
     class RecordingPool:
-        """Stands in for multiprocessing.Pool: records its size, runs inline."""
-
         def __init__(self, processes):
-            sizes.append(processes)
+            self.processes = processes
 
         def __enter__(self):
             return self
@@ -230,13 +231,36 @@ def test_pool_never_larger_than_task_list(monkeypatch):
             return False
 
         def starmap(self, fn, tasks, chunksize=None):
+            pools.append((self.processes, len(tasks)))
             return [fn(*task) for task in tasks]
 
     monkeypatch.setattr(randic.enumeration, "Pool", RecordingPool)
+    monkeypatch.setattr(randic.enumeration.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    return pools
+
+
+def test_pool_never_larger_than_task_list(monkeypatch):
+    pools = _record_pools(monkeypatch, cpus=64)
     # n = 2 and n = 3 split into 2 + 8 prefix tasks whatever jobs asks for
     assert verify_theorems(3, jobs=64) == verify_theorems(3)
     assert extremal_scan(3, jobs=64) == extremal_scan(3)
-    assert sizes == [10, 10]
+    assert [size for size, _ in pools] == [10, 10]
+
+
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
+def test_jobs_capped_at_usable_cpus(monkeypatch, affinity):
+    # uncapped, a million jobs would split n = 8 into 2^22 prefix tasks and
+    # ask for a pool of 10^6 processes
+    pools = _record_pools(monkeypatch, cpus=3)
+    if not affinity:
+        monkeypatch.delattr(randic.enumeration.os, "sched_getaffinity",
+                            raising=False)
+        monkeypatch.setattr(randic.enumeration.os, "cpu_count", lambda: 3)
+    assert verify_theorems(4, jobs=10 ** 6) == verify_theorems(4, jobs=3)
+    assert extremal_scan(4, jobs=10 ** 6) == extremal_scan(4, jobs=3)
+    # 3 jobs split n = 2, 3, 4 into 2 + 8 + 16 prefix tasks
+    assert pools == [(3, 26)] * 4
 
 
 def test_verify_json_shape(verify4):

@@ -13,8 +13,9 @@ from randic import (Graph, GraphFormatError, biregular_certificate,
                     degree_profile, format_edge_list, is_connected,
                     parse_edge_list, parse_graph6, randic_direct, to_graph6)
 
-from conftest import (_naive_connected, complete, complete_bipartite, cycle,
-                      disjoint_union, naive_graphs, path, star)
+from conftest import (_naive_connected, bfs_two_coloring, complete,
+                      complete_bipartite, cycle, disjoint_union, naive_graphs,
+                      path, star)
 
 
 def graph_strategy(max_n=7, min_n=0):
@@ -643,7 +644,6 @@ def test_is_connected_matches_naive_on_random_graphs():
         g = _random_union(rng)
         want = _naive_connected(g.n, g.edges)
         assert is_connected(g) == want, (g.n, g.edges)
-        assert "adjacency" not in g.__dict__
         seen[want] += 1
         spanning += not want and g.m >= g.n - 1
     assert min(seen.values()) >= 50 and spanning >= 20
@@ -657,8 +657,8 @@ def test_bounds_report_on_a_non_regular_graph_builds_no_adjacency():
         if g.n > 2 * g.m or g.degree_range[0] in (0, g.degree_range[1]):
             continue
         assert bounds_report(g).connected == _naive_connected(g.n, g.edges)
-        assert "adjacency" not in g.__dict__
         checked += 1
+    assert not hasattr(Graph, "adjacency")
 
 
 @pytest.mark.parametrize("g", [Graph(10 ** 12, ((0, 1),)), Graph(10 ** 20, ())],
@@ -671,7 +671,10 @@ def test_more_vertices_than_twice_the_edges_allocate_nothing_n_sized(g):
     with pytest.raises(ValueError, match="isolated vertex present "
                                          r"\(minimum degree must be positive\)"):
         degree_profile(g)
-    assert "degrees" not in g.__dict__ and "adjacency" not in g.__dict__
+    with pytest.raises(ValueError, match="isolated vertex present "
+                                         r"\(all degrees must be positive\)"):
+        degree_chain_certificate(g)
+    assert "degrees" not in g.__dict__
 
 
 # ── Biregular certificates ────────────────────────────────────────────
@@ -775,11 +778,65 @@ def test_biregular_matches_brute_force_colorings():
                 assert all(min(c) in first for c in _components(g))
 
 
-def test_biregular_non_regular_needs_no_adjacency():
-    for g in (star(4), path(4), disjoint_union(path(3), path(3))):
-        fresh = Graph(g.n, g.edges)
-        biregular_certificate(fresh)
-        assert "adjacency" not in fresh.__dict__
+def _circulant(rng, r, k, bipartite):
+    """Edges of an r-regular circulant on 0..k-1: r // 2 jumps below k / 2,
+    plus the jump k / 2 when r is odd (k even).  Bipartite asks for k even,
+    odd jumps and, for odd r, k / 2 odd; otherwise jump 1 closes an odd
+    cycle, the whole k-cycle for odd k or 1, 2, ..., k / 2 + 1 for even k."""
+    pool = [j for j in range(2, (k + 1) // 2) if not bipartite or j % 2]
+    jumps = [1] + rng.sample(pool, r // 2 - 1) if r > 1 else []
+    edges = [(i, (i + j) % k) for i in range(k) for j in jumps]
+    if r % 2:
+        edges += [(i, i + k // 2) for i in range(k // 2)]
+    return edges
+
+
+def _random_regular_union(rng):
+    """A relabeled disjoint union of 1-3 r-regular circulants, each bipartite
+    or not at random, n up to ~3,000; the union is bipartite iff each
+    component is."""
+    r = rng.choice((1, 2, 2, 3, 4))
+    edges, n, kinds = [], 0, set()
+    for _ in range(rng.randint(1, 3)):
+        bipartite = r == 1 or rng.random() < 0.5
+        k = rng.randrange(max(2 * r, 4), 1000)
+        if r % 2:
+            # k / 2 odd for a bipartite circulant, even for an odd cycle
+            k += (2 if bipartite else 0) - k % 4
+        else:
+            k += (k % 2) ^ (not bipartite)
+        edges += [(u + n, v + n) for u, v in _circulant(rng, r, k, bipartite)]
+        n += k
+        kinds.add(bipartite)
+    return Graph(n, tuple(edges)).relabel(rng.sample(range(n), n)), kinds
+
+
+def test_regular_two_coloring_matches_bfs_oracle():
+    rng = random.Random(4242)
+    cycles = [cycle(k).relabel(rng.sample(range(k), k))
+              for k in (3, 4, 5, 6, 2999, 3000)]
+    outcomes = {True: 0, False: 0}
+    mixed = 0  # unions of bipartite and non-bipartite components
+    for g in cycles:
+        want = bfs_two_coloring(g)
+        cert = biregular_certificate(g)
+        assert (cert is None) == (want is None) == (g.n % 2 == 1)
+        assert cert is None or cert.parts == want
+    for _ in range(150):
+        g, kinds = _random_regular_union(rng)
+        d, D = g.degree_range
+        assert d == D
+        want = bfs_two_coloring(g)
+        assert (want is not None) == (kinds == {True})
+        cert = biregular_certificate(g)
+        if want is None:
+            assert cert is None, g.n
+        else:
+            assert cert is not None and (cert.a, cert.b) == (d, d)
+            assert cert.parts == want, g.n
+        outcomes[want is None] += 1
+        mixed += kinds == {True, False}
+    assert min(outcomes.values()) >= 40 and mixed >= 20
 
 
 @settings(max_examples=200)
