@@ -2,9 +2,9 @@
 combinatorial equality certificates, extremal constructions, and exhaustive
 verification over small graphs."""
 
-from .bounds import (SLACK_TOLERANCE, BoundsReport, baseline_bound,
-                     bounds_report, decomposition_residual, lower_bound,
-                     telescope_gap, upper_bound)
+from .bounds import (BoundsReport, baseline_bound, bounds_report,
+                     decomposition_residual, lower_bound, telescope_gap,
+                     upper_bound)
 from .constructions import (DegreeChainCertificate, build_biregular,
                             build_degree_chain, build_end_block,
                             build_mid_block, degree_chain_certificate)
@@ -24,14 +24,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BiregularCertificate", "BoundsReport", "DegreeChainCertificate",
     "DegreeProfile", "EnumerationSummary", "Graph", "GraphFormatError",
-    "IDENTITY_TOLERANCE", "RandicValue", "SLACK_TOLERANCE",
-    "VerificationReport", "baseline_bound", "biregular_certificate",
-    "bounds_report", "build_biregular", "build_degree_chain",
-    "build_end_block", "build_mid_block", "canonical_graph6",
-    "chain_grid_check", "decomposition_residual", "degree_chain_certificate",
-    "degree_multiset", "degree_profile", "enumerate_graphs", "extremal_scan",
-    "format_edge_list", "gap_positivity_check", "identity_residual",
-    "is_connected", "lower_bound", "parse_edge_list", "parse_graph6",
-    "randic_deviation", "randic_direct", "telescope_gap", "to_graph6",
-    "upper_bound", "verify_theorems",
+    "IDENTITY_TOLERANCE", "RandicValue", "VerificationReport",
+    "baseline_bound", "biregular_certificate", "bounds_report",
+    "build_biregular", "build_degree_chain", "build_end_block",
+    "build_mid_block", "canonical_graph6", "chain_grid_check",
+    "decomposition_residual", "degree_chain_certificate", "degree_multiset",
+    "degree_profile", "enumerate_graphs", "extremal_scan", "format_edge_list",
+    "gap_positivity_check", "identity_residual", "is_connected",
+    "lower_bound", "parse_edge_list", "parse_graph6", "randic_deviation",
+    "randic_direct", "telescope_gap", "to_graph6", "upper_bound",
+    "verify_theorems",
 ]

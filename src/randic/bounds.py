@@ -2,25 +2,23 @@
 minimum degree d and maximum degree D, with combinatorial equality
 certificates.
 
-Equality detection is structural (biregular / degree-chain certificates),
-never a float comparison; the numeric slacks carried by the report are
-diagnostics only.
+Both bounds, and their equality cases, are decided exactly: the sign of
+each slack is an integer fact about the degree-pair histogram
+(``_lower_sign``, ``_upper_sign``), and the equality certificates are
+structural.  The float slacks carried by the report are diagnostics only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .constructions import DegreeChainCertificate, degree_chain_certificate
 from .graphs import (BiregularCertificate, Graph, biregular_certificate,
                      degree_profile, is_connected)
-from .index import IDENTITY_TOLERANCE, randic_direct
-
-#: Tolerance for inequality slacks; looser than IDENTITY_TOLERANCE to absorb
-#: accumulated summation error on dense graphs.
-SLACK_TOLERANCE = 1e-9
+from .index import randic_direct
 
 
 def lower_bound(n: int, d: int, D: int) -> float:
@@ -73,7 +71,7 @@ def telescope_gap(x: float, y: float, z: float) -> float:
     return (a - c) ** 2 - (a - b) ** 2 - (b - c) ** 2
 
 
-def decomposition_residual(g: Graph, tolerance: float = IDENTITY_TOLERANCE) -> float:
+def decomposition_residual(g: Graph) -> float:
     """Residual of the cross-count decomposition of the index.
 
     With c = sqrt(d*D)/(d+D), the identity
@@ -90,17 +88,50 @@ def decomposition_residual(g: Graph, tolerance: float = IDENTITY_TOLERANCE) -> f
     c = math.sqrt(d * D) / (d + D)
     terms = []
     for (i, j), m in prof.cross_counts.items():
-        w = 1 / math.sqrt(i * j) - c * (1 / i + 1 / j)
-        if (i, j) == (d, D):
-            if abs(w) > tolerance:
-                raise ValueError(
-                    f"extreme-pair coefficient not zero: {w!r} at ({i}, {j})")
-        elif w <= 0:
-            raise ValueError(f"coefficient not positive: {w!r} at ({i}, {j})")
+        # the coefficient's sign is _lower_sign's on the pair alone
+        if _lower_sign({(i, j): 1}, d, D) != ((i, j) != (d, D)):
+            raise ValueError(f"coefficient sign wrong at ({i}, {j})")
         if m:
-            terms.append(w * m)
+            terms.append((1 / math.sqrt(i * j) - c * (1 / i + 1 / j)) * m)
     rhs = c * g.n + math.fsum(terms)
     return abs(randic_direct(g).value - rhs)
+
+
+def _lower_sign(pairs: dict[tuple[int, int], int], d: int, D: int) -> int:
+    """Sign of R - sqrt(d*D)*n/(d+D), d < D, from the degree-pair histogram.
+
+    As n = sum m_ij (1/i + 1/j), the slack is sum m_ij w_ij, and each w_ij
+    has the sign of the integer (iD - jd)(jD - id): positive for
+    d <= i <= j <= D except at (d, D), where it is 0.
+    """
+    products = [(i * D - j * d) * (j * D - i * d)
+                for (i, j), m in pairs.items() if m]
+    if min(products) < 0:
+        raise ValueError(f"degree pair outside [{d}, {D}]")
+    return int(max(products) > 0)
+
+
+def _upper_sign(pairs: dict[tuple[int, int], int], d: int, D: int) -> int:
+    """Sign of upper_bound - R, d < D, from a connected graph's histogram.
+
+    With s_t = 1/sqrt(t) - 1/sqrt(t+1) > 0, an (a, b) edge's term
+    (1/sqrt(a) - 1/sqrt(b))^2 is (s_a + ... + s_{b-1})^2, so the slack is
+    sum_t (c_t - 1) s_t^2 / 2 plus the cross terms s_t s_u of every edge
+    spanning two or more levels, where c_t counts the edges with
+    a <= t < b.  A connected graph crosses every level (c_t >= 1), so the
+    slack is 0 iff every c_t = 1 and no edge spans two levels.
+    """
+    diff = [0] * (D - d + 1)
+    spans = False
+    for (a, b), m in pairs.items():
+        if m and a < b:
+            diff[a - d] += m
+            diff[b - d] -= m
+            spans = spans or b - a > 1
+    cover = list(accumulate(diff[:-1]))
+    if min(cover) == 0:
+        raise ValueError("a degree level is crossed by no edge (graph disconnected)")
+    return int(spans or max(cover) > 1)
 
 
 @dataclass(frozen=True)
@@ -111,8 +142,10 @@ class BoundsReport:
     collapse to n/2.  The upper bound applies only to connected graphs;
     for a disconnected graph with d < D it is omitted and
     upper_bound_omitted says why.  Slacks are value-minus-bound (lower)
-    and bound-minus-value (upper): both are >= -SLACK_TOLERANCE whenever
-    the bounds hold.
+    and bound-minus-value (upper), float diagnostics; lower_sign and
+    upper_sign are their exact signs, decided on the degree-pair
+    histogram: 0 at equality, 1 strictly inside the bound, and None where
+    the bound is omitted.
     """
 
     n: int
@@ -124,6 +157,8 @@ class BoundsReport:
     baseline: float
     lower_slack: float
     upper_slack: Optional[float]
+    lower_sign: int
+    upper_sign: Optional[int]
     lower_equality: Optional[BiregularCertificate]
     upper_equality: Optional[DegreeChainCertificate]
     regular: bool
@@ -164,43 +199,33 @@ class BoundsReport:
 
 
 def bounds_report(g: Graph) -> BoundsReport:
-    """Evaluate both bounds on a graph and attach equality certificates.
-
-    Certificates are attached on purely structural grounds: the lower one
+    """Evaluate both bounds on a graph, decide them exactly on its
+    degree-pair histogram (``_lower_sign``, ``_upper_sign``) and attach
+    equality certificates, on purely structural grounds: the lower one
     whenever the graph is biregular (its degree pair necessarily equals
     (d, D)), the upper one whenever the degree-chain membership predicate
-    holds; either may appear alongside a strictly positive slack only up
-    to float noise, never the other way around.
+    holds.  Verify checks that each is present exactly where its sign is 0.
     """
     value = randic_direct(g).value
     n = g.n
     d, D = g.degree_range
     connected = is_connected(g)
-    bireg = biregular_certificate(g)
-    if d == D:
-        lower = upper = n / 2
-        chain = None
-        omitted = None
-    else:
-        lower = lower_bound(n, d, D)
+    # a regular graph's index is exactly n/2, the value of both its bounds
+    lower = upper = n / 2
+    lower_sign = upper_sign = 0
+    chain = omitted = None
+    if d < D:
+        lower, lower_sign = lower_bound(n, d, D), _lower_sign(g.pair_counts, d, D)
         chain = degree_chain_certificate(g)
         if connected:
-            upper = upper_bound(n, d, D)
-            omitted = None
+            upper, upper_sign = upper_bound(n, d, D), _upper_sign(g.pair_counts, d, D)
         else:
-            upper = None
+            upper = upper_sign = None
             omitted = "disconnected"
     return BoundsReport(
-        n=n, d=d, D=D,
-        randic=value,
-        lower=lower,
-        upper=upper,
-        baseline=baseline_bound(n, d, D),
-        lower_slack=value - lower,
+        n=n, d=d, D=D, randic=value, lower=lower, upper=upper,
+        baseline=baseline_bound(n, d, D), lower_slack=value - lower,
         upper_slack=None if upper is None else upper - value,
-        lower_equality=bireg,
-        upper_equality=chain,
-        regular=(d == D),
-        connected=connected,
-        upper_bound_omitted=omitted,
-    )
+        lower_sign=lower_sign, upper_sign=upper_sign,
+        lower_equality=biregular_certificate(g), upper_equality=chain,
+        regular=(d == D), connected=connected, upper_bound_omitted=omitted)

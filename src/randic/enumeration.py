@@ -18,9 +18,9 @@ in the scan, for a graph that reaches or ties its class's running extreme).
 n = 7 has 1,887,284 graphs with no isolated vertex but only 632 keys.
 Verify and the scan merge the partitions' keys by (n, key) and evaluate each
 key once for the whole run, weighting each outcome by the key's graph count;
-both read a key's index, bounds, slacks and equality certificates off one
-``bounds_report`` of its first graph.  The scan's witnesses are each class's
-least (R, graph6) and (-R, graph6) pairs.
+both read a key's index, bounds, their exact signs and equality certificates
+off one ``bounds_report`` of its first graph.  The scan's witnesses are each
+class's least (R, graph6) and (-R, graph6) pairs.
 
 The scan tree can be partitioned by fixing the first k edge bits; partitions
 are processed independently, their key counts summed and their witness pairs
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterator, Optional
 
-from .bounds import (SLACK_TOLERANCE, bounds_report, decomposition_residual,
-                     telescope_gap, upper_bound)
+from .bounds import (bounds_report, decomposition_residual, telescope_gap,
+                     upper_bound)
 from .constructions import build_degree_chain, degree_chain_certificate
 from .graphs import Graph, _graph_unchecked, is_connected, to_graph6
 from .index import IDENTITY_TOLERANCE, randic_deviation, randic_direct
@@ -286,12 +286,12 @@ def extremal_scan(n_max: int, connected_only: bool = False,
         r = bounds_report(g)
         c = counts[n, r.d, r.D]
         c[0] += graphs
-        if r.lower_slack < -SLACK_TOLERANCE:
+        if r.lower_sign < 0:
             c[1] += graphs
         if r.lower_equality is not None:
             c[3] += graphs
         if r.connected:
-            if r.upper_slack < -SLACK_TOLERANCE:
+            if r.upper_sign < 0:
                 c[2] += graphs
             if r.upper_equality is not None:
                 c[4] += graphs
@@ -342,29 +342,27 @@ _CHECK_NAMES = ("identity", "decomposition", "lower-bound", "lower-equality",
                 "upper-bound", "upper-equality", "star-baseline")
 
 
-def _graph_checks(g: Graph, identity_tol: float,
-                  slack_tol: float) -> Iterator[tuple[str, bool]]:
-    """(check name, failed) for every per-graph check that applies to g."""
+def _graph_checks(g: Graph) -> Iterator[tuple[str, bool]]:
+    """(check name, failed) for every per-graph check that applies to g.
+    The bounds are decided by the report's exact signs; only the float
+    identities and the star baseline compare floats."""
     r = bounds_report(g)
     value = r.randic
-    yield "identity", abs(value - randic_deviation(g)) > identity_tol
+    yield "identity", abs(value - randic_deviation(g)) > IDENTITY_TOLERANCE
 
     root = math.sqrt(r.n - 1)
     is_star = g.m == r.n - 1 and r.D == r.n - 1
-    star_equal = abs(value - root) <= slack_tol
-    yield "star-baseline", value < root - slack_tol or star_equal != is_star
+    star_equal = abs(value - root) <= IDENTITY_TOLERANCE
+    yield "star-baseline", value < root - IDENTITY_TOLERANCE or star_equal != is_star
 
     if r.regular:
         return
-    yield ("decomposition",
-           decomposition_residual(g, tolerance=identity_tol) > identity_tol)
-    yield "lower-bound", r.lower_slack < -slack_tol
-    lower_equal = abs(r.lower_slack) <= slack_tol
-    yield "lower-equality", lower_equal != (r.lower_equality is not None)
+    yield "decomposition", decomposition_residual(g) > IDENTITY_TOLERANCE
+    yield "lower-bound", r.lower_sign < 0
+    yield "lower-equality", (r.lower_sign == 0) != (r.lower_equality is not None)
     if r.connected:
-        yield "upper-bound", r.upper_slack < -slack_tol
-        upper_equal = abs(r.upper_slack) <= slack_tol
-        yield "upper-equality", upper_equal != (r.upper_equality is not None)
+        yield "upper-bound", r.upper_sign < 0
+        yield "upper-equality", (r.upper_sign == 0) != (r.upper_equality is not None)
 
 
 def _verify_partition(n: int, prefix: tuple[int, ...]) -> dict[int, list]:
@@ -379,12 +377,12 @@ def _verify_partition(n: int, prefix: tuple[int, ...]) -> dict[int, list]:
     return keyed
 
 
-def chain_grid_check(max_degree: int = 9,
-                     identity_tol: float = IDENTITY_TOLERANCE) -> CheckResult:
+def chain_grid_check(max_degree: int = 9) -> CheckResult:
     """Verify the chain construction on every odd pair d < D <= max_degree:
     the built graph is connected, has degree range exactly [d, D], carries a
     chain certificate, has exactly D - d unequal-degree edges (each with
-    difference 1), and its index matches the closed form to identity_tol."""
+    difference 1), and its index matches the closed form to
+    IDENTITY_TOLERANCE."""
     checked = 0
     failures = 0
     example = None
@@ -399,7 +397,8 @@ def chain_grid_check(max_degree: int = 9,
                   and len(cross) == D - d
                   and all(abs(deg[u] - deg[v]) == 1 for u, v in cross)
                   and degree_chain_certificate(g) is not None
-                  and abs(randic_direct(g).value - upper_bound(g.n, d, D)) <= identity_tol)
+                  and abs(randic_direct(g).value - upper_bound(g.n, d, D))
+                  <= IDENTITY_TOLERANCE)
             if not ok:
                 failures += 1
                 if example is None:
@@ -408,10 +407,10 @@ def chain_grid_check(max_degree: int = 9,
 
 
 def gap_positivity_check(samples: int = 10000, low: float = 1.0,
-                         high: float = 100.0, seed: int = _GAP_SEED,
-                         identity_tol: float = IDENTITY_TOLERANCE) -> CheckResult:
+                         high: float = 100.0, seed: int = _GAP_SEED) -> CheckResult:
     """Draw ordered random triples and confirm the telescoping gap is
-    strictly positive and matches its product form within identity_tol."""
+    strictly positive and matches its product form within
+    IDENTITY_TOLERANCE."""
     rng = random.Random(seed)
     checked = 0
     failures = 0
@@ -423,14 +422,12 @@ def gap_positivity_check(samples: int = 10000, low: float = 1.0,
         gap = telescope_gap(x, y, z)
         a, b, c = 1 / math.sqrt(x), 1 / math.sqrt(y), 1 / math.sqrt(z)
         product = 2 * (a - b) * (b - c)
-        if gap <= 0 or abs(gap - product) > identity_tol:
+        if gap <= 0 or abs(gap - product) > IDENTITY_TOLERANCE:
             failures += 1
     return CheckResult("gap-positivity", checked, failures)
 
 
-def verify_theorems(n_max: int, jobs: int = 1,
-                    identity_tolerance: float = IDENTITY_TOLERANCE,
-                    slack_tolerance: float = SLACK_TOLERANCE) -> VerificationReport:
+def verify_theorems(n_max: int, jobs: int = 1) -> VerificationReport:
     """Run every per-graph check over all enumerated graphs with no isolated
     vertices and 2 <= n <= n_max, plus the chain-grid and gap-positivity
     batches.  A clean run reports zero failures everywhere."""
@@ -443,7 +440,7 @@ def verify_theorems(n_max: int, jobs: int = 1,
     counts = {name: [0, 0, None] for name in _CHECK_NAMES}
     # the first failing key's first graph is the first failing graph
     for g, graphs in keyed.values():
-        for name, failed in _graph_checks(g, identity_tolerance, slack_tolerance):
+        for name, failed in _graph_checks(g):
             entry = counts[name]
             entry[0] += graphs
             if failed:
@@ -451,8 +448,8 @@ def verify_theorems(n_max: int, jobs: int = 1,
                 if entry[2] is None:
                     entry[2] = to_graph6(g)
     checks = [CheckResult(name, *counts[name]) for name in _CHECK_NAMES]
-    checks.append(chain_grid_check(identity_tol=identity_tolerance))
-    checks.append(gap_positivity_check(identity_tol=identity_tolerance))
+    checks.append(chain_grid_check())
+    checks.append(gap_positivity_check())
     return VerificationReport(
         max_n=n_max, graphs=sum(graphs for _, graphs in keyed.values()),
         checks=tuple(checks))

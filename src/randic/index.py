@@ -2,8 +2,10 @@
 
 Both evaluations use math.fsum (exactly rounded summation) with square
 roots taken on integer degree products, which keeps the residual between
-the two forms at a few ulp -- far below the 1e-12 contract for any graph
-with n <= 62.
+the two forms at a few ulp of values up to n/2 -- far below the 1e-12
+contract for any graph with n <= 62.  The bounds are not decided here, nor
+by any float: bounds_report reads their signs off the degree-pair
+histogram.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass
 
 from .graphs import Graph
 
-#: Tolerance for algebraic identities that hold exactly in real arithmetic.
-#: Overridable on the command line; inequality slacks use a separate, looser
-#: constant (see bounds.SLACK_TOLERANCE).
+#: Tolerance for the float-vs-float checks of identities that hold exactly in
+#: real arithmetic (both index forms, the decomposition, the chain closed
+#: form, the telescoping gap, the star baseline), all at n <= 62.
 IDENTITY_TOLERANCE = 1e-12
 
 

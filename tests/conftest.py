@@ -2,14 +2,18 @@
 
 naive_graphs re-enumerates small graphs by brute force over all edge
 subsets, with filter-after-generate constraint handling; it shares no code
-with the pruned generator under test.
+with the pruned generator under test.  exact_sign decides the sign of a sum
+of rational multiples of square roots exactly, the oracle of the bounds'
+integer sign tests.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
-from typing import Iterator, Optional
+import math
+from fractions import Fraction
+from typing import Iterable, Iterator, Optional
 
 import pytest
 
@@ -77,6 +81,67 @@ def bfs_two_coloring(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...
                     return None
     return (tuple(v for v in range(g.n) if not side[v]),
             tuple(v for v in range(g.n) if side[v]))
+
+
+def _squarefree_split(k: int) -> tuple[int, int]:
+    """(s, r) with k = s*s*r and r squarefree, by trial division."""
+    s, r, p = 1, k, 2
+    while p * p <= r:
+        while r % (p * p) == 0:
+            r //= p * p
+            s *= p
+        p += 1
+    return s, r
+
+
+def exact_sign(terms: Iterable[tuple[Fraction, int]]) -> int:
+    """Sign (-1, 0 or 1) of sum(q * sqrt(k)) over (q, k) terms, with q
+    rational and k a positive integer, decided exactly.
+
+    Terms are grouped by the squarefree part r of k, whose roots are
+    linearly independent over the rationals (Besicovitch 1940): the sum is
+    0 iff every group's coefficient is.  Otherwise it is bracketed by
+    floor(sqrt(r) * 2**p) = isqrt(r << 2p) bounds at doubling precision p,
+    which exclude 0 once the bracket is narrower than the sum.
+    """
+    coeff: dict[int, Fraction] = collections.defaultdict(Fraction)
+    for q, k in terms:
+        s, r = _squarefree_split(k)
+        coeff[r] += Fraction(q) * s
+    coeff = {r: q for r, q in coeff.items() if q}
+    if not coeff:
+        return 0
+    bits = 16
+    while True:
+        lo = hi = Fraction(0)
+        for r, q in coeff.items():
+            root = math.isqrt(r << (2 * bits))  # root <= sqrt(r) * 2**bits < root + 1
+            below, above = Fraction(root, 1 << bits), Fraction(root + 1, 1 << bits)
+            lo += q * (below if q > 0 else above)
+            hi += q * (above if q > 0 else below)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2
+
+
+def lower_slack_terms(pairs: dict, d: int, D: int):
+    """R - sqrt(dD) n/(d+D) as (q, k) terms, with n = sum m_ij (1/i + 1/j)."""
+    n = sum(m * Fraction(i + j, i * j) for (i, j), m in pairs.items())
+    return ([(Fraction(m, i * j), i * j) for (i, j), m in pairs.items()]
+            + [(-n / (d + D), d * D)])
+
+
+def upper_slack_terms(pairs: dict, d: int, D: int):
+    """n/2 - sum_{t=d}^{D-1} (1/sqrt(t) - 1/sqrt(t+1))^2 / 2 - R as (q, k)
+    terms, with (1/sqrt(t) - 1/sqrt(t+1))^2 = 1/t + 1/(t+1) - 2/sqrt(t(t+1))."""
+    n = sum(m * Fraction(i + j, i * j) for (i, j), m in pairs.items())
+    terms = [(n / 2, 1)]
+    for t in range(d, D):
+        terms += [(-(Fraction(1, t) + Fraction(1, t + 1)) / 2, 1),
+                  (Fraction(1, t * (t + 1)), t * (t + 1))]
+    return terms + [(-Fraction(m, i * j), i * j) for (i, j), m in pairs.items()]
 
 
 def star(n: int) -> Graph:

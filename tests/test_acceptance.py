@@ -14,9 +14,10 @@ from math import comb, gcd
 
 import pytest
 
-from randic import (bounds_report, build_biregular, build_degree_chain,
-                    baseline_bound, extremal_scan, lower_bound, parse_graph6,
-                    randic_direct, to_graph6, upper_bound, verify_theorems)
+from randic import (IDENTITY_TOLERANCE, bounds_report, build_biregular,
+                    build_degree_chain, baseline_bound, extremal_scan,
+                    lower_bound, parse_graph6, randic_direct, to_graph6,
+                    upper_bound, verify_theorems)
 from randic.cli import main
 
 from conftest import naive_graphs
@@ -33,9 +34,10 @@ def _passed(criterion: str) -> None:
 @pytest.fixture(scope="module")
 def sweep():
     """One exhaustive pass over every graph with 2 <= n <= MAX_N and no
-    isolated vertices, at the contract tolerances."""
-    report = verify_theorems(MAX_N, identity_tolerance=IDENTITY_TOL,
-                             slack_tolerance=SLACK_TOL)
+    isolated vertices: the bounds decided exactly, the float identities at
+    the contract tolerance."""
+    assert IDENTITY_TOLERANCE == IDENTITY_TOL
+    report = verify_theorems(MAX_N)
     return {c.name: c for c in report.checks}, report
 
 
@@ -112,12 +114,12 @@ def test_criterion_6_sharpness_witnesses():
         for D in range(d + 1, 9):
             rep = bounds_report(build_biregular(d, D, gcd(d, D)))
             assert rep.lower_equality is not None, (d, D)
-            assert abs(rep.lower_slack) <= SLACK_TOL
+            assert rep.lower_sign == 0 and abs(rep.lower_slack) <= SLACK_TOL
     for d in range(1, 10, 2):
         for D in range(d + 2, 10, 2):
             rep = bounds_report(build_degree_chain(d, D))
             assert rep.upper_equality is not None, (d, D)
-            assert abs(rep.upper_slack) <= SLACK_TOL
+            assert rep.upper_sign == 0 and abs(rep.upper_slack) <= SLACK_TOL
     _passed("6 constructed witnesses certified tight (biregular d<D<=8, "
             "chains odd d<D<=9)")
 

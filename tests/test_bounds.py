@@ -1,14 +1,20 @@
 import math
+import random
+from collections import Counter
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from randic import (Graph, baseline_bound, bounds_report, build_degree_chain,
-                    decomposition_residual, lower_bound, telescope_gap,
+from randic import (Graph, baseline_bound, bounds_report, build_biregular,
+                    build_degree_chain, decomposition_residual,
+                    enumerate_graphs, is_connected, lower_bound, telescope_gap,
                     upper_bound)
+from randic.bounds import _lower_sign, _upper_sign
 
-from conftest import complete_bipartite, cycle, disjoint_union, path, star
+from conftest import (complete_bipartite, cycle, disjoint_union, exact_sign,
+                      lower_slack_terms, path, star, upper_slack_terms)
 
 
 # ── Bound formulas ────────────────────────────────────────────────────
@@ -125,6 +131,7 @@ def test_report_star_lower_equality(star4):
     rep = bounds_report(star4)
     assert (rep.n, rep.d, rep.D) == (4, 1, 3)
     assert rep.lower_slack == pytest.approx(0, abs=1e-9)
+    assert (rep.lower_sign, rep.upper_sign) == (0, 1)
     assert rep.lower_equality is not None
     assert rep.upper_equality is None
     assert not rep.regular
@@ -133,6 +140,7 @@ def test_report_star_lower_equality(star4):
 def test_report_chain_upper_equality():
     rep = bounds_report(build_degree_chain(1, 3))
     assert rep.upper_slack == pytest.approx(0, abs=1e-9)
+    assert (rep.lower_sign, rep.upper_sign) == (1, 0)
     assert rep.upper_equality is not None
     assert rep.lower_equality is None
 
@@ -152,6 +160,7 @@ def test_report_regular_collapses(c5):
     assert rep.randic == 2.5
     assert rep.lower == rep.upper == 2.5
     assert rep.lower_slack == 0 and rep.upper_slack == 0
+    assert rep.lower_sign == rep.upper_sign == 0
     assert rep.lower_equality is None          # C5 is not bipartite
     assert rep.upper_equality is None
 
@@ -168,6 +177,7 @@ def test_report_disconnected_omits_upper():
     rep = bounds_report(g)
     assert not rep.connected
     assert rep.upper is None and rep.upper_slack is None
+    assert rep.upper_sign is None and rep.lower_sign == 1
     assert rep.upper_bound_omitted == "disconnected"
     assert rep.lower is not None
 
@@ -199,3 +209,88 @@ def test_report_slacks_nonnegative_on_samples(k23):
         if rep.upper_slack is not None:
             assert rep.upper_slack >= -1e-9
         assert rep.lower >= rep.baseline - 1e-12
+
+
+# ── Exact signs against the Q(sqrt k) oracle ──────────────────────────
+
+def test_lower_sign_decides_the_float_failing_key_without_a_graph():
+    # the (1, 2)-biregular key of ``construct biregular 1 2 --scale
+    # 3965070``: its float slack is below -1e-9, its exact sign 0
+    pairs, n = {(1, 2): 7_930_140}, 11_895_210
+    assert math.fsum([7_930_140 / math.sqrt(2)]) - lower_bound(n, 1, 2) < -1e-9
+    assert _lower_sign(pairs, 1, 2) == 0
+    assert exact_sign(lower_slack_terms(pairs, 1, 2)) == 0
+
+
+def _signs(pairs, d, D, connected):
+    """(lower, upper) signs from the helpers and from the oracle."""
+    ours = (_lower_sign(pairs, d, D),
+            _upper_sign(pairs, d, D) if connected else None)
+    exact = (exact_sign(lower_slack_terms(pairs, d, D)),
+             exact_sign(upper_slack_terms(pairs, d, D)) if connected else None)
+    return ours, exact
+
+
+def test_signs_match_oracle_on_every_small_key():
+    keys = {}
+    for n in range(2, 7):
+        for g in enumerate_graphs(n, min_degree=1):
+            d, D = g.degree_range
+            if d < D:
+                keys[frozenset(g.pair_counts.items()), is_connected(g)] = (d, D)
+    seen = Counter()
+    for (pairs, connected), (d, D) in keys.items():
+        ours, exact = _signs(dict(pairs), d, D, connected)
+        assert ours == exact, (dict(pairs), connected)
+        seen.update(ours)
+    # stars and K_{a,b} reach the lower bound; a chain needs n >= 9
+    assert len(keys) == 130 and seen[0] > 0 and seen[1] > 0
+
+
+def _seeded_graph(rng: random.Random, n: int) -> Graph:
+    # a random recursive tree plus up to 2n random chords: connected, with
+    # no isolated vertex and degrees spread over many classes
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randrange(2 * n)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph(n, tuple(sorted(edges)))
+
+
+def test_signs_match_oracle_on_seeded_graphs():
+    rng = random.Random(2017)
+    checked = Counter()
+    for _ in range(300):
+        n = rng.randint(2, 62)
+        g = _seeded_graph(rng, n)
+        if n >= 4 and rng.random() < 0.3:
+            k = rng.randint(2, n - 2)
+            g = disjoint_union(_seeded_graph(rng, k), _seeded_graph(rng, n - k))
+        d, D = g.degree_range
+        if d < D:
+            connected = is_connected(g)
+            ours, exact = _signs(g.pair_counts, d, D, connected)
+            assert ours == exact, g.edges
+            checked[connected] += 1
+    assert checked[True] > 100 and checked[False] > 30
+
+
+def test_signs_match_oracle_on_constructions():
+    for d in range(1, 10, 2):
+        for D in range(d + 2, 12, 2):
+            g = build_degree_chain(d, D)
+            assert _signs(g.pair_counts, d, D, True) == ((1, 0), (1, 0))
+    for d in range(1, 7):
+        for D in range(d + 1, 8):
+            for scale in (gcd(d, D), 2 * gcd(d, D)):
+                g = build_biregular(d, D, scale)
+                connected = is_connected(g)
+                ours, exact = _signs(g.pair_counts, d, D, connected)
+                assert ours == exact and ours[0] == 0, (d, D, scale)
+
+
+def test_signs_refuse_what_their_argument_does_not_prove():
+    # a degree level no edge crosses: the graph is disconnected
+    with pytest.raises(ValueError, match="crossed by no edge"):
+        _upper_sign({(1, 2): 1, (3, 3): 6}, 1, 3)
+    with pytest.raises(ValueError, match="outside"):
+        _lower_sign({(1, 2): 1}, 2, 3)

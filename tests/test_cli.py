@@ -5,6 +5,7 @@ import pytest
 
 from randic import (build_biregular, build_degree_chain, format_edge_list,
                     to_graph6)
+import randic.cli
 from randic.cli import main
 
 
@@ -155,6 +156,40 @@ def test_compute_reads_crlf_edge_list(capsys, monkeypatch, fmt):
     assert crlf == lf and lf[0] == 0
 
 
+def test_compute_large_graph_warns_nothing(capsys, monkeypatch):
+    # n = 200,000: both index forms round to a few ulp of values up to n/2,
+    # so the residual (about 1.5e-11) is within the tolerance scaled by n/62
+    stdin = format_edge_list(build_biregular(3, 7, 20000))
+    code, out, err = run(capsys, ["compute"], stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert out.startswith("n=200000 m=420000 ")
+    deviation = randic.cli.randic_deviation
+    monkeypatch.setattr(randic.cli, "randic_deviation",
+                        lambda g: deviation(g) + 1e-6)
+    code, _, err = run(capsys, ["compute"], stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, err) == (
+        0, "warning: identity residual 1e-06 exceeds tolerance 3.23e-09\n")
+
+
+def test_small_graph_warns_at_the_contract_tolerance(capsys, monkeypatch):
+    deviation = randic.cli.randic_deviation
+    monkeypatch.setattr(randic.cli, "randic_deviation",
+                        lambda g: deviation(g) + 2e-12)
+    code, _, err = run(capsys, ["compute"], stdin=STAR4_EDGELIST,
+                       monkeypatch=monkeypatch)
+    assert (code, err) == (
+        0, "warning: identity residual 2e-12 exceeds tolerance 1e-12\n")
+
+
+@pytest.mark.parametrize("argv", [["compute", "--tolerance", "1e-9"],
+                                  ["verify", "--max-n", "3", "--tolerance", "1"]])
+def test_tolerance_flags_are_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+
 def test_compute_isolated_vertex_exits_2(capsys, monkeypatch):
     code, _, err = run(capsys, ["compute"], stdin="3\n0 1\n",
                        monkeypatch=monkeypatch)
@@ -228,13 +263,23 @@ def test_bounds_json_golden(capsys, monkeypatch):
     (build_biregular(2, 3, 13), "n=65 m=78 graph"),   # beyond graph6's n <= 62
 ])
 def test_bounds_violation_names_its_graph(capsys, monkeypatch, g, named):
-    # a tolerance of -1 takes every slack below 1 for a violation
+    # a lower sign helper that reports -1 makes the bound read as violated
     stdin = format_edge_list(g)
     code, row, err = run(capsys, ["bounds"], stdin=stdin, monkeypatch=monkeypatch)
     assert (code, err) == (0, "")
-    monkeypatch.setattr("randic.cli.SLACK_TOLERANCE", -1.0)
+    monkeypatch.setattr("randic.bounds._lower_sign", lambda pairs, d, D: -1)
     code, out, err = run(capsys, ["bounds"], stdin=stdin, monkeypatch=monkeypatch)
     assert (code, out, err) == (3, row, f"BOUND VIOLATION on {named}\n")
+
+
+def test_bounds_upper_violation_is_reported(capsys, monkeypatch):
+    g = build_degree_chain(1, 3)
+    stdin = format_edge_list(g)
+    code, row, err = run(capsys, ["bounds"], stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr("randic.bounds._upper_sign", lambda pairs, d, D: -1)
+    code, out, err = run(capsys, ["bounds"], stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out, err) == (3, row, f"BOUND VIOLATION on {to_graph6(g)}\n")
 
 
 def test_bounds_csv_header(capsys, monkeypatch):

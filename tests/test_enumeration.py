@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from types import SimpleNamespace
@@ -6,13 +7,12 @@ import pytest
 
 import randic.bounds
 import randic.enumeration
-from randic import (IDENTITY_TOLERANCE, SLACK_TOLERANCE, DegreeChainCertificate,
-                    EnumerationSummary, biregular_certificate,
-                    canonical_graph6, chain_grid_check,
-                    decomposition_residual, degree_chain_certificate,
-                    enumerate_graphs, extremal_scan, gap_positivity_check,
-                    is_connected, lower_bound, randic_deviation,
-                    randic_direct, to_graph6, upper_bound, verify_theorems)
+from randic import (DegreeChainCertificate, EnumerationSummary,
+                    biregular_certificate, canonical_graph6, chain_grid_check,
+                    degree_chain_certificate, enumerate_graphs, extremal_scan,
+                    gap_positivity_check, is_connected, lower_bound,
+                    randic_deviation, randic_direct, to_graph6, upper_bound,
+                    verify_theorems)
 from randic.enumeration import CheckResult, _walk
 
 from conftest import _naive_connected, complete_bipartite, naive_graphs, star
@@ -308,16 +308,53 @@ def direct_facts():
                 connected=_naive_connected(n, g.edges))
             if d < D:
                 fact.lb, fact.ub = lower_bound(n, d, D), upper_bound(n, d, D)
-                fact.residual = decomposition_residual(g)
+                # the decomposition's right-hand side, summed edge by edge
+                c = math.sqrt(d * D) / (d + D)
+                fact.rhs = c * n + math.fsum(
+                    1 / math.sqrt(g.degrees[u] * g.degrees[v])
+                    - c * (1 / g.degrees[u] + 1 / g.degrees[v]) for u, v in g.edges)
                 fact.biregular = biregular_certificate(g) is not None
                 fact.chain = degree_chain_certificate(g) is not None
             facts.append(fact)
     return facts
 
 
-def _direct_verify(facts, identity_tol, slack_tol):
+# Injected faults, each a function of the degree-pair histogram, and so of
+# a walk key, through the edge count m: an offset added to the index on
+# chosen keys, and sign helpers that report a violation (-1) on chosen keys.
+def _faults(offset=0.0, lower=None, upper=None):
+    return SimpleNamespace(
+        offset=lambda pairs: offset if sum(pairs.values()) % 3 == 0 else 0.0,
+        lower=lambda pairs: sum(pairs.values()) % 2 == lower,
+        upper=lambda pairs: sum(pairs.values()) % 2 == upper)
+
+
+_NO_FAULTS = _faults()
+_OFFSETS = _faults(offset=1e-6)        # on m = 0 mod 3
+_SIGNS = _faults(lower=0, upper=1)     # lower on even m, upper on odd m
+
+
+def _inject(monkeypatch, faults):
+    """Patch the library so that each fault hits the keys it chooses; the
+    pool forks, so its workers see the patch too."""
+    direct = randic.bounds.randic_direct
+    lower, upper = randic.bounds._lower_sign, randic.bounds._upper_sign
+
+    def offset_direct(g):
+        rv = direct(g)
+        return dataclasses.replace(rv, value=rv.value + faults.offset(g.pair_counts))
+
+    monkeypatch.setattr(randic.bounds, "randic_direct", offset_direct)
+    monkeypatch.setattr(randic.bounds, "_lower_sign", lambda pairs, d, D: (
+        -1 if faults.lower(pairs) else lower(pairs, d, D)))
+    monkeypatch.setattr(randic.bounds, "_upper_sign", lambda pairs, d, D: (
+        -1 if faults.upper(pairs) else upper(pairs, d, D)))
+
+
+def _direct_verify(facts, faults=_NO_FAULTS):
     """Every verify check run on every graph, counted the way
-    verify_theorems reports them."""
+    verify_theorems reports them, with float comparisons at 1e-12 for the
+    identities and 1e-9 for the bounds as the independent reference."""
     counts = {name: [0, 0, None] for name in _CHECKS}
 
     def check(name, f, failed):
@@ -329,41 +366,45 @@ def _direct_verify(facts, identity_tol, slack_tol):
                 entry[2] = to_graph6(f.g)
 
     for f in facts:
-        check("identity", f, abs(f.value - f.deviation) > identity_tol)
+        pairs = f.g.pair_counts
+        value = f.value + faults.offset(pairs)
+        check("identity", f, abs(value - f.deviation) > 1e-12)
         root = math.sqrt(f.n - 1)
         is_star = f.g.m == f.n - 1 and f.D == f.n - 1
-        check("star-baseline", f, f.value < root - slack_tol
-              or (abs(f.value - root) <= slack_tol) != is_star)
+        check("star-baseline", f, value < root - 1e-9
+              or (abs(value - root) <= 1e-9) != is_star)
         if f.d == f.D:
             continue
-        check("decomposition", f, f.residual > identity_tol)
-        check("lower-bound", f, f.value < f.lb - slack_tol)
+        check("decomposition", f, abs(value - f.rhs) > 1e-12)
+        lower = faults.lower(pairs)
+        check("lower-bound", f, f.value < f.lb - 1e-9 or lower)
         check("lower-equality", f,
-              (abs(f.value - f.lb) <= slack_tol) != f.biregular)
+              (abs(f.value - f.lb) <= 1e-9 and not lower) != f.biregular)
         if f.connected:
-            check("upper-bound", f, f.value > f.ub + slack_tol)
+            upper = faults.upper(pairs)
+            check("upper-bound", f, f.value > f.ub + 1e-9 or upper)
             check("upper-equality", f,
-                  (abs(f.value - f.ub) <= slack_tol) != f.chain)
+                  (abs(f.value - f.ub) <= 1e-9 and not upper) != f.chain)
     return [CheckResult(name, *counts[name]) for name in _CHECKS]
 
 
-# The tolerances other than the contract's force failures, so failure
-# counts and first counterexamples are compared too: 4e-16 fails some
-# identity and decomposition residuals, a negative slack every graph near
-# a bound, and a loose slack puts graphs with no certificate within
-# "equality" at n >= 4, where a partition holds several failing keys.
-@pytest.mark.parametrize("identity_tol, slack_tol", [
-    (IDENTITY_TOLERANCE, SLACK_TOLERANCE), (4e-16, -1e-3), (4e-16, 0.05)])
-def test_verify_matches_direct_evaluation(direct_facts, identity_tol, slack_tol):
-    expected = _direct_verify(direct_facts, identity_tol, slack_tol)
-    failing = {c.name for c in expected if c.failures}
-    if identity_tol == IDENTITY_TOLERANCE:
-        assert not failing
-    else:
-        assert {"identity", "decomposition", "lower-equality"} <= failing
+# The injected faults make checks fail, so failure counts and first
+# counterexamples are compared too: the index offset fails identity,
+# star-baseline and decomposition on every third edge count, and the sign
+# flags fail both bounds, and lower-equality wherever a certificate holds,
+# at n >= 4, where a partition holds several failing keys.
+@pytest.mark.parametrize("faults, failing", [
+    (_NO_FAULTS, set()),
+    (_OFFSETS, {"identity", "star-baseline", "decomposition"}),
+    (_SIGNS, {"lower-bound", "lower-equality", "upper-bound"}),
+], ids=["clean", "index-offset", "sign-flags"])
+def test_verify_matches_direct_evaluation(direct_facts, monkeypatch, faults,
+                                          failing):
+    _inject(monkeypatch, faults)
+    expected = _direct_verify(direct_facts, faults)
+    assert {c.name for c in expected if c.failures} == failing
     for jobs in (1, 2):
-        report = verify_theorems(6, jobs=jobs, identity_tolerance=identity_tol,
-                                 slack_tolerance=slack_tol)
+        report = verify_theorems(6, jobs=jobs)
         assert report.graphs == len(direct_facts)
         assert list(report.checks[:len(_CHECKS)]) == expected
 
@@ -380,14 +421,16 @@ def test_verify_keeps_each_n_apart(direct_facts, monkeypatch):
             yield edges, deg, rank.setdefault(key, len(rank))
 
     monkeypatch.setattr(randic.enumeration, "_walk", renumbered)
-    report = verify_theorems(6, identity_tolerance=4e-16, slack_tolerance=0.05)
+    faults = _faults(offset=1e-6, lower=0, upper=1)
+    _inject(monkeypatch, faults)
+    report = verify_theorems(6)
     assert report.graphs == len(direct_facts)
     assert list(report.checks[:len(_CHECKS)]) == _direct_verify(
-        direct_facts, 4e-16, 0.05)
-    assert extremal_scan(6) == _direct_scan(direct_facts, False)
+        direct_facts, faults)
+    assert extremal_scan(6) == _direct_scan(direct_facts, False, faults)
 
 
-def _direct_scan(facts, connected_only, slack_tol=SLACK_TOLERANCE):
+def _direct_scan(facts, connected_only, faults=_NO_FAULTS):
     """extremal_scan's records, computed graph by graph."""
     classes = {}
     for f in facts:
@@ -404,9 +447,12 @@ def _direct_scan(facts, connected_only, slack_tol=SLACK_TOLERANCE):
                               if f.value == low),
             argmax_graph6=min(canonical_graph6(f.g) for f in members
                               if f.value == high),
-            lower_violations=sum(f.value < f.lb - slack_tol for f in members),
-            upper_violations=sum(f.connected and f.value > f.ub + slack_tol
+            lower_violations=sum(f.value < f.lb - 1e-9
+                                 or faults.lower(f.g.pair_counts)
                                  for f in members),
+            upper_violations=sum(f.connected and (
+                f.value > f.ub + 1e-9 or faults.upper(f.g.pair_counts))
+                for f in members),
             lower_equality_witnesses=sum(f.biregular for f in members),
             upper_equality_witnesses=sum(f.connected and f.chain
                                          for f in members)))
@@ -416,17 +462,21 @@ def _direct_scan(facts, connected_only, slack_tol=SLACK_TOLERANCE):
 @pytest.mark.parametrize("connected_only", [False, True])
 def test_scan_matches_direct_evaluation(direct_facts, monkeypatch,
                                         connected_only):
-    # a slack of -0.05 takes every graph within 0.05 of a bound for a
-    # violation, so both counters are compared at distinct nonzero values
-    for slack_tol in (SLACK_TOLERANCE, -0.05):
-        monkeypatch.setattr(randic.enumeration, "SLACK_TOLERANCE", slack_tol)
-        expected = _direct_scan(direct_facts, connected_only, slack_tol)
-        lower = sum(s.lower_violations for s in expected)
-        upper = sum(s.upper_violations for s in expected)
-        assert (lower, upper) == (0, 0) if slack_tol > 0 else 0 < lower < upper
-        for jobs in (1, 2):
-            assert extremal_scan(6, connected_only=connected_only,
-                                 jobs=jobs) == expected
+    # the sign flags report violations on chosen keys, so both counters are
+    # compared at distinct nonzero values
+    for faults in (_NO_FAULTS, _SIGNS):
+        with monkeypatch.context() as patch:
+            _inject(patch, faults)
+            expected = _direct_scan(direct_facts, connected_only, faults)
+            lower = sum(s.lower_violations for s in expected)
+            upper = sum(s.upper_violations for s in expected)
+            if faults is _NO_FAULTS:
+                assert (lower, upper) == (0, 0)
+            else:
+                assert 0 < lower != upper > 0
+            for jobs in (1, 2):
+                assert extremal_scan(6, connected_only=connected_only,
+                                     jobs=jobs) == expected
 
 
 def test_upper_equality_counted_per_graph(direct_facts, monkeypatch):
@@ -440,7 +490,7 @@ def test_upper_equality_counted_per_graph(direct_facts, monkeypatch):
                else f for f in direct_facts]
     connected = Counter((f.n, f.d, f.D) for f in direct_facts
                         if f.d < f.D and f.connected)
-    expected = _direct_verify(chained, IDENTITY_TOLERANCE, SLACK_TOLERANCE)
+    expected = _direct_verify(chained)
     assert expected[_CHECKS.index("upper-equality")].failures > 0
     for jobs in (1, 2):
         scan = extremal_scan(6, jobs=jobs)
