@@ -196,8 +196,8 @@ def _check_cap(n_max: int) -> None:
         raise ValueError(
             f"--max-n is capped at {MAX_VERTICES} (exhaustive enumeration only)")
     if n_max == MAX_VERTICES:
-        print(f"note: n = {MAX_VERTICES} scans take about 40 CPU-minutes "
-              "(about 254 million graphs)", file=sys.stderr)
+        print(f"note: n = {MAX_VERTICES} scans take 19-23 CPU-minutes "
+              "(about 66.6 billion graphs)", file=sys.stderr)
 
 
 def cmd_enumerate(args) -> int:

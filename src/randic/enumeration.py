@@ -1,29 +1,40 @@
-"""Exhaustive labeled enumeration of small graphs, extremal scans, and the
-batch verification harness.
+"""Exhaustive enumeration of small graphs, extremal scans, and the batch
+verification harness.
 
 Generation walks the upper-triangle adjacency bits in graph6 order with two
 degree prunes: a branch that would push a vertex past the maximum degree is
 skipped, and a subtree is skipped as soon as some vertex cannot reach the
 minimum degree with its remaining undecided slots.  Each vertex carries an
 adjacency bitmask, toggled with its edge bits, from which connectivity is
-decided at the leaf.  Enumeration is labeled (no isomorphism reduction); a
-best-effort canonical relabeling is applied only to reported witness graphs.
+decided at the leaf.  ``enumerate_graphs`` is labeled (no isomorphism
+reduction) and is the oracle the tests compare against; a best-effort
+canonical relabeling is applied only to reported witness graphs.
 
 Every per-graph check of the verification, and every scan statistic but the
 extremal witnesses, is a function of n, the degree-pair histogram and
 connectivity.  At each leaf the walk therefore computes one integer key that
-encodes the histogram and connectivity, and both folds count graphs per key,
-building a ``Graph`` only for a key's first graph in enumeration order (and,
-in the scan, for a graph that reaches or ties its class's running extreme).
-n = 7 has 1,887,284 graphs with no isolated vertex but only 632 keys.
-Verify and the scan merge the partitions' keys by (n, key) and evaluate each
-key once for the whole run, weighting each outcome by the key's graph count;
-both read a key's index, bounds, their exact signs and equality certificates
-off one ``bounds_report`` of its first graph.  The scan's witnesses are each
-class's least (R, graph6) and (-R, graph6) pairs.
+encodes the histogram and connectivity.  Relabeling a graph keeps its key and
+permutes its degree vector, and it maps the graphs with degree vector s one
+to one onto those with any permutation of s.  So verify and the scan walk
+only the graphs whose degrees do not increase in label order, pruning a
+branch once some vertex can no longer reach its successor's degree, and
+weight each by n!/prod(mult!), the number of distinct permutations of its
+degree vector, where mult runs over the multiplicities of its degree values.
+A key's weights sum to its labeled graph count: n = 8 has 252,522,481
+graphs with no isolated vertex, 585,786 degree-sorted ones and 4,860 keys.
 
-The scan tree can be partitioned by fixing the first k edge bits; partitions
-are processed independently, their key counts summed and their witness pairs
+Both folds build a ``Graph`` only for a key's first degree-sorted graph in
+enumeration order (and, in the scan, for a graph that reaches or ties its
+class's running extreme), merge the partitions' keys by (n, key) and
+evaluate each key once for the whole run, weighting each outcome by the
+key's labeled graph count; both read a key's index, bounds, their exact
+signs and equality certificates off one ``bounds_report`` of its first
+graph, which is also a failing check's counterexample.  The scan's
+witnesses are each class's least (R, graph6) and (-R, graph6) pairs over
+its degree-sorted graphs.
+
+The walk can be partitioned by fixing the first k edge bits; partitions are
+processed independently, their key counts summed and their witness pairs
 merged by min, so results do not depend on the worker count.
 """
 
@@ -32,7 +43,9 @@ from __future__ import annotations
 import math
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from multiprocessing import Pool
 from typing import Iterator, Optional
 
@@ -42,10 +55,12 @@ from .constructions import build_degree_chain, degree_chain_certificate
 from .graphs import Graph, _graph_unchecked, is_connected, to_graph6
 from .index import IDENTITY_TOLERANCE, randic_deviation, randic_direct
 
-#: Hard cap on the vertex count.  n = 8 works but adds about 252 million
-#: graphs: ``verify --max-n 8 --jobs 2`` took 19 minutes wall (37 CPU-minutes)
-#: on a 2-vCPU Xeon, and ``enumerate --max-n 8 --jobs 2`` 20 minutes (39).
-MAX_VERTICES = 8
+#: Hard cap on the vertex count.  n = 9 works but adds about 66.4 billion
+#: labeled graphs (37,091,190 degree-sorted ones): ``verify --max-n 9 --jobs 2``
+#: took 11.5 minutes wall (19 CPU-minutes) on a 2-vCPU Xeon, and ``enumerate
+#: --max-n 9 --jobs 2`` 13.8 minutes (23), against 8-10 s wall (12-16 CPU-s)
+#: for ``verify --max-n 8``.
+MAX_VERTICES = 9
 
 #: Seed for the random triples of the gap-positivity check.
 _GAP_SEED = 8128
@@ -59,21 +74,39 @@ def enumerate_graphs(n: int, *, connected: Optional[bool] = None,
     exactly once, in a fixed order (two runs produce identical streams).
 
     ``prefix`` pins the first len(prefix) adjacency bits, which is how the
-    scan tree is partitioned across workers.  Requires 1 <= n <= 8.
+    scan tree is partitioned across workers.  Requires 1 <= n <= MAX_VERTICES.
     """
-    for edges, deg, _ in _walk(n, connected, min_degree, max_degree, prefix):
-        yield _graph_unchecked(n, tuple(sorted(edges)), tuple(deg))
+    for edges, deg, _, _ in _walk(n, connected, min_degree, max_degree, prefix):
+        yield _graph_unchecked(n, tuple(sorted(edges)), deg)
+
+
+@lru_cache(maxsize=None)
+def _relabelings(degrees: tuple[int, ...]) -> int:
+    """n!/∏ mult! over the repeated values of a degree vector: how many
+    vectors its permutations give, and so how many labeled graphs share the
+    key of a graph with these degrees in non-increasing order.  The cache
+    holds at most one entry per non-increasing degree vector with
+    n <= MAX_VERTICES."""
+    return math.factorial(len(degrees)) // math.prod(
+        math.factorial(c) for c in Counter(degrees).values())
 
 
 def _walk(n: int, connected: Optional[bool], min_degree: Optional[int],
-          max_degree: Optional[int], prefix: tuple[int, ...]) -> Iterator[tuple]:
-    """The walk behind enumerate_graphs: (edges, degrees, key) per graph.
+          max_degree: Optional[int], prefix: tuple[int, ...],
+          ordered: bool = False) -> Iterator[tuple]:
+    """The walk behind enumerate_graphs: (edges, degrees, key, weight) per
+    graph.
 
-    ``edges`` (unsorted) and ``degrees`` are the walk's own lists, valid
-    until the next item.  ``key`` is one-to-one, for this n, with the
+    ``edges`` is the walk's own unsorted list, valid until the next item,
+    and ``degrees`` a tuple.  ``key`` is one-to-one, for this n, with the
     degree-pair histogram and connectivity: bit 0 is set iff the graph is
     connected, and above it each degree pair i <= j has one base-(n(n-1)/2
     + 1) digit counting its edges, which never carries.
+
+    ``ordered`` keeps only the graphs whose degrees do not increase in label
+    order, each weighted by ``_relabelings`` of its degrees, so that the
+    weights of a key sum to its labeled graph count; otherwise every graph is
+    kept, with weight 1.
     """
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count must be in [1, {MAX_VERTICES}], got {n}")
@@ -87,14 +120,16 @@ def _walk(n: int, connected: Optional[bool], min_degree: Optional[int],
         raise ValueError("degree constraints must be non-negative")
     if lo > n - 1:
         return
-    weight = [[0] * n for _ in range(n)]  # weight[i][j]: one unit of digit (i, j)
+    digit = [[0] * n for _ in range(n)]  # digit[i][j]: one unit of pair (i, j)
     unit = 2
     for i in range(1, n):
         for j in range(i, n):
-            weight[i][j] = weight[j][i] = unit
+            digit[i][j] = digit[j][i] = unit
             unit *= total + 1
-    deg = [0] * n
-    rem = [n - 1] * n
+    # slot n is a sentinel, read as vertex n by v + 1 and as vertex -1 by
+    # u - 1, that never prunes: degree 0, and n slots still undecided
+    deg = [0] * n + [0]
+    rem = [n - 1] * n + [n]
     adj = [0] * n  # adjacency bitmask per vertex
     everyone = (1 << n) - 1
     edges: list[tuple[int, int]] = []
@@ -113,27 +148,35 @@ def _walk(n: int, connected: Optional[bool], min_degree: Optional[int],
             if connected is None or linked == connected:
                 key = int(linked)
                 for u, v in edges:
-                    key += weight[deg[u]][deg[v]]
-                yield edges, deg, key
+                    key += digit[deg[u]][deg[v]]
+                degrees = tuple(deg[:n])
+                yield edges, degrees, key, _relabelings(degrees) if ordered else 1
             return
         u, v = pairs[t]
         ru = rem[u] = rem[u] - 1
         rv = rem[v] = rem[v] - 1
         du, dv = deg[u], deg[v]
+        # When ordered, deg[a] + rem[a] >= deg[a + 1] holds for every a on
+        # entry, and at a leaf, where rem is 0, it says the degrees do not
+        # increase.  Leaving (u, v) out lowers deg + rem at u and v only;
+        # putting it in raises deg at u and v only.
         for bit in (prefix[t],) if t < len(prefix) else (0, 1):
             if bit == 0:
-                if du + ru >= lo and dv + rv >= lo:
+                if du + ru >= lo and dv + rv >= lo and not (ordered and (
+                        du + ru < deg[u + 1] or dv + rv < deg[v + 1])):
                     yield from rec(t + 1)
             elif du < hi and dv < hi and du + 1 + ru >= lo and dv + 1 + rv >= lo:
                 deg[u] = du + 1
                 deg[v] = dv + 1
-                adj[u] ^= 1 << v
-                adj[v] ^= 1 << u
-                edges.append((u, v))
-                yield from rec(t + 1)
-                edges.pop()
-                adj[u] ^= 1 << v
-                adj[v] ^= 1 << u
+                if not (ordered and (deg[u - 1] + rem[u - 1] <= du
+                                     or deg[v - 1] + rem[v - 1] <= dv)):
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
+                    edges.append((u, v))
+                    yield from rec(t + 1)
+                    edges.pop()
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
                 deg[u] = du
                 deg[v] = dv
         rem[u] += 1
@@ -226,20 +269,21 @@ def _scan_partition(n: int, connected_only: bool,
     # the extremes are None for a regular key, which belongs to no class
     keyed: dict[int, list] = {}
     extremes: dict[tuple[int, int], list] = {}
-    for edges, deg, key in _walk(n, connected_only or None, 1, None, prefix):
+    for edges, deg, key, weight in _walk(n, connected_only or None, 1, None,
+                                         prefix, ordered=True):
         g = None
         entry = keyed.get(key)
         if entry is None:
-            g = _graph_unchecked(n, tuple(sorted(edges)), tuple(deg))
+            g = _graph_unchecked(n, tuple(sorted(edges)), deg)
             d, D = g.degree_range
             ext = None if d == D else extremes.setdefault((d, D), [(math.inf, "")] * 2)
             entry = keyed[key] = [g, 0, randic_direct(g).value, ext]
-        entry[1] += 1
+        entry[1] += weight
         _, _, value, ext = entry
         # a graph is built and canonical_graph6 run only on a new or tied extreme
         if ext is not None and (value <= ext[0][0] or -value <= ext[1][0]):
             c6 = canonical_graph6(
-                g or _graph_unchecked(n, tuple(sorted(edges)), tuple(deg)))
+                g or _graph_unchecked(n, tuple(sorted(edges)), deg))
             ext[0] = min(ext[0], (value, c6))
             ext[1] = min(ext[1], (-value, c6))
     return ({key: entry[:2] for key, entry in keyed.items()
@@ -366,14 +410,15 @@ def _graph_checks(g: Graph) -> Iterator[tuple[str, bool]]:
 
 
 def _verify_partition(n: int, prefix: tuple[int, ...]) -> dict[int, list]:
-    """walk key -> [first graph in enumeration order, graph count]."""
+    """walk key -> [first degree-sorted graph in enumeration order, labeled
+    graph count]."""
     keyed: dict[int, list] = {}
-    for edges, deg, key in _walk(n, None, 1, None, prefix):
+    for edges, deg, key, weight in _walk(n, None, 1, None, prefix, ordered=True):
         entry = keyed.get(key)
         if entry is None:
-            keyed[key] = [_graph_unchecked(n, tuple(sorted(edges)), tuple(deg)), 1]
+            keyed[key] = [_graph_unchecked(n, tuple(sorted(edges)), deg), weight]
         else:
-            entry[1] += 1
+            entry[1] += weight
     return keyed
 
 
@@ -438,7 +483,7 @@ def verify_theorems(n_max: int, jobs: int = 1) -> VerificationReport:
              for prefix in _prefix_tasks(n, jobs)]
     keyed = _merge_keys(tasks, _run(_verify_partition, tasks, jobs))
     counts = {name: [0, 0, None] for name in _CHECK_NAMES}
-    # the first failing key's first graph is the first failing graph
+    # the first failing key's first graph is the first failing degree-sorted graph
     for g, graphs in keyed.values():
         for name, failed in _graph_checks(g):
             entry = counts[name]

@@ -374,7 +374,7 @@ def test_enumerate_text(capsys):
 
 
 def test_enumerate_cap_exits_2(capsys):
-    code, _, err = run(capsys, ["enumerate", "--max-n", "9"])
+    code, _, err = run(capsys, ["enumerate", "--max-n", "10"])
     assert code == 2
     assert "capped" in err
 
@@ -395,7 +395,7 @@ def test_verify_json(capsys):
 
 
 def test_verify_cap_exits_2(capsys):
-    code, _, err = run(capsys, ["verify", "--max-n", "9"])
+    code, _, err = run(capsys, ["verify", "--max-n", "10"])
     assert code == 2
     assert "capped" in err
 

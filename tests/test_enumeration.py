@@ -44,13 +44,51 @@ def test_walk_key_is_histogram_and_connectivity():
     for n in range(1, 7):
         for min_degree in (None, 1):
             by_key, by_fact = {}, {}
-            for edges, _, key in _walk(n, None, min_degree, None, ()):
+            for edges, _, key, _ in _walk(n, None, min_degree, None, ()):
                 deg = Counter(v for e in edges for v in e)
                 fact = (frozenset(Counter(tuple(sorted((deg[u], deg[v])))
                                           for u, v in edges).items()),
                         _naive_connected(n, edges))
                 assert by_key.setdefault(key, fact) == fact
                 assert by_fact.setdefault(fact, key) == key
+
+
+def _non_increasing(degrees):
+    return all(a >= b for a, b in zip(degrees, degrees[1:]))
+
+
+@pytest.mark.parametrize("connected", [None, True])
+def test_sorted_walk_is_labeled_walk_with_sorted_degrees(connected):
+    # the degree-sorted walk yields, in order, the labeled walk's graphs whose
+    # degrees do not increase in label order, and its weights sum per key to
+    # the labeled walk's graph counts
+    for n in range(1, 7):
+        for min_degree in (None, 1):
+            labeled, expected = Counter(), []
+            for edges, deg, key, weight in _walk(n, connected, min_degree,
+                                                 None, ()):
+                assert weight == 1
+                labeled[key] += 1
+                if _non_increasing(deg):
+                    expected.append((sorted(edges), deg, key))
+            weighted, leaves = Counter(), []
+            for edges, deg, key, weight in _walk(n, connected, min_degree,
+                                                 None, (), ordered=True):
+                weighted[key] += weight
+                leaves.append((sorted(edges), deg, key))
+            assert leaves == expected
+            assert weighted == labeled
+
+
+def test_sorted_walk_weights_count_labeled_graphs():
+    # labeled graphs on 2..7 vertices with no isolated vertex (OEIS A006129)
+    # and connected (OEIS A001187)
+    for connected, counts in (
+            (None, [1, 4, 41, 768, 27449, 1887284]),
+            (True, [1, 4, 38, 728, 26704, 1866256])):
+        assert [sum(weight for *_, weight in _walk(n, connected, 1, None, (),
+                                                   ordered=True))
+                for n in range(2, 8)] == counts
 
 
 def test_min_degree_counts():
@@ -96,7 +134,7 @@ def test_degrees_cache_consistent():
         assert g.degrees == tuple(deg)
 
 
-@pytest.mark.parametrize("n", [0, 9, -1])
+@pytest.mark.parametrize("n", [0, 10, -1])
 def test_vertex_cap(n):
     with pytest.raises(ValueError):
         list(enumerate_graphs(n))
@@ -178,7 +216,7 @@ def test_scan_worker_count_invariance():
 
 def test_scan_rejects_large_n():
     with pytest.raises(ValueError):
-        extremal_scan(9)
+        extremal_scan(10)
 
 
 # ── Verification harness ──────────────────────────────────────────────
@@ -354,7 +392,9 @@ def _inject(monkeypatch, faults):
 def _direct_verify(facts, faults=_NO_FAULTS):
     """Every verify check run on every graph, counted the way
     verify_theorems reports them, with float comparisons at 1e-12 for the
-    identities and 1e-9 for the bounds as the independent reference."""
+    identities and 1e-9 for the bounds as the independent reference.  A
+    check's counterexample is its first failing graph, in enumeration order,
+    among the graphs whose degrees do not increase in label order."""
     counts = {name: [0, 0, None] for name in _CHECKS}
 
     def check(name, f, failed):
@@ -362,7 +402,7 @@ def _direct_verify(facts, faults=_NO_FAULTS):
         entry[0] += 1
         if failed:
             entry[1] += 1
-            if entry[2] is None:
+            if entry[2] is None and _non_increasing(f.g.degrees):
                 entry[2] = to_graph6(f.g)
 
     for f in facts:
@@ -415,10 +455,10 @@ def test_verify_keeps_each_n_apart(direct_facts, monkeypatch):
     walk = randic.enumeration._walk
     ranks = {}
 
-    def renumbered(n, *args):
+    def renumbered(n, *args, **kwargs):
         rank = ranks.setdefault(n, {})
-        for edges, deg, key in walk(n, *args):
-            yield edges, deg, rank.setdefault(key, len(rank))
+        for edges, deg, key, weight in walk(n, *args, **kwargs):
+            yield edges, deg, rank.setdefault(key, len(rank)), weight
 
     monkeypatch.setattr(randic.enumeration, "_walk", renumbered)
     faults = _faults(offset=1e-6, lower=0, upper=1)
