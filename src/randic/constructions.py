@@ -13,7 +13,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
+from operator import ne
 from typing import Optional
 
 from .graphs import Graph
@@ -151,8 +153,9 @@ def degree_chain_certificate(g: Graph) -> Optional[DegreeChainCertificate]:
     if len(cross) != D - d or any(j != i + 1 or pairs[(i, j)] != 1
                                   for i, j in cross):
         return None
-    deg = g.degrees
-    consecutive = {min(deg[u], deg[v]): (u, v)
-                   for u, v in g.edges if deg[u] != deg[v]}
+    deg = g.degrees.__getitem__
+    us, vs = g._us, g._vs
+    consecutive = {min(deg(u), deg(v)): (u, v) for u, v in compress(
+        zip(us, vs), map(ne, map(deg, us), map(deg, vs)))}
     return DegreeChainCertificate(
         d=d, D=D, cross_edges=tuple(consecutive[i] for i in range(d, D)))

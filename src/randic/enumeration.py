@@ -52,7 +52,8 @@ from typing import Iterator, Optional
 from .bounds import (bounds_report, decomposition_residual, telescope_gap,
                      upper_bound)
 from .constructions import build_degree_chain, degree_chain_certificate
-from .graphs import Graph, _graph_unchecked, is_connected, to_graph6
+from .graphs import (Graph, _columns, _graph_unchecked, is_connected,
+                     to_graph6)
 from .index import IDENTITY_TOLERANCE, randic_deviation, randic_direct
 
 #: Hard cap on the vertex count.  n = 9 works but adds about 66.4 billion
@@ -77,7 +78,7 @@ def enumerate_graphs(n: int, *, connected: Optional[bool] = None,
     scan tree is partitioned across workers.  Requires 1 <= n <= MAX_VERTICES.
     """
     for edges, deg, _, _ in _walk(n, connected, min_degree, max_degree, prefix):
-        yield _graph_unchecked(n, tuple(sorted(edges)), deg)
+        yield _graph_unchecked(n, *_columns(sorted(edges)), deg)
 
 
 @lru_cache(maxsize=None)
@@ -194,7 +195,7 @@ def canonical_graph6(g: Graph) -> str:
     """
     deg = g.degrees
     nbr_degs = [[] for _ in range(g.n)]
-    for u, v in g.edges:
+    for u, v in zip(g._us, g._vs):
         nbr_degs[u].append(deg[v])
         nbr_degs[v].append(deg[u])
     key = [(deg[v], sorted(ds)) for v, ds in enumerate(nbr_degs)]
@@ -274,7 +275,7 @@ def _scan_partition(n: int, connected_only: bool,
         g = None
         entry = keyed.get(key)
         if entry is None:
-            g = _graph_unchecked(n, tuple(sorted(edges)), deg)
+            g = _graph_unchecked(n, *_columns(sorted(edges)), deg)
             d, D = g.degree_range
             ext = None if d == D else extremes.setdefault((d, D), [(math.inf, "")] * 2)
             entry = keyed[key] = [g, 0, randic_direct(g).value, ext]
@@ -283,7 +284,7 @@ def _scan_partition(n: int, connected_only: bool,
         # a graph is built and canonical_graph6 run only on a new or tied extreme
         if ext is not None and (value <= ext[0][0] or -value <= ext[1][0]):
             c6 = canonical_graph6(
-                g or _graph_unchecked(n, tuple(sorted(edges)), deg))
+                g or _graph_unchecked(n, *_columns(sorted(edges)), deg))
             ext[0] = min(ext[0], (value, c6))
             ext[1] = min(ext[1], (-value, c6))
     return ({key: entry[:2] for key, entry in keyed.items()
@@ -416,7 +417,7 @@ def _verify_partition(n: int, prefix: tuple[int, ...]) -> dict[int, list]:
     for edges, deg, key, weight in _walk(n, None, 1, None, prefix, ordered=True):
         entry = keyed.get(key)
         if entry is None:
-            keyed[key] = [_graph_unchecked(n, tuple(sorted(edges)), deg), weight]
+            keyed[key] = [_graph_unchecked(n, *_columns(sorted(edges)), deg), weight]
         else:
             entry[1] += weight
     return keyed

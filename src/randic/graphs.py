@@ -15,62 +15,97 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
-from operator import add, eq, gt, itemgetter, lt, mul
-from typing import Iterable, Optional
+from operator import (add, and_, eq, floordiv, gt, itemgetter, lshift, lt,
+                      mod, mul, or_, rshift)
+from typing import Iterable, NamedTuple, Optional
 
 
 class GraphFormatError(ValueError):
     """Raised when a graph file or string cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable simple graph: vertex count plus a canonical sorted edge tuple.
+class _Columns(NamedTuple):
+    """Edges handed to Graph as two columns, edge k being (us[k], vs[k]):
+    how the edge-list parser passes its sorted edges without a pair each."""
 
-    Any iterable of vertex pairs is accepted; edges are normalized to
-    ``(min, max)`` and sorted.  Self-loops, duplicates and out-of-range
-    labels are rejected.  Edges already in that form, a tuple of int pairs
-    in increasing order, are checked in bulk and kept as given.
-    ``degrees``, ``degree_range`` and the degree-pair histogram
-    ``pair_counts`` are computed on first use and cached; every other fact
-    is read off the sorted edges.
+    us: array
+    vs: array
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class Graph:
+    """Immutable simple graph: vertex count plus its edges as two columns.
+
+    Edge k is (``_us[k]``, ``_vs[k]``) with u < v, sorted by (u, v).  The
+    edge-list parser hands over int64 arrays, 8 bytes a label and no int
+    object each; other columns are tuples, which share the int objects of
+    the pairs or tables they were read from.  Any iterable of vertex pairs
+    is accepted; edges are normalized to ``(min, max)`` and sorted.
+    Self-loops, duplicates and out-of-range labels are rejected.  Int pairs
+    already in that form, and columns, are checked in bulk.
+
+    ``edges``, the sorted tuple of pairs, is kept when pairs were given and
+    otherwise built on first use; the readers in this package read the
+    columns.  ``degrees``, ``degree_range`` and the degree-pair histogram
+    ``pair_counts`` are computed on first use and cached.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {self.n}")
-        edges = tuple(self.edges)
-        if _is_canonical(self.n, edges):
-            object.__setattr__(self, "edges", edges)
-            return
-        norm = []
-        for e in edges:
-            u, v = e
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            if u < 0 or v >= self.n:
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-            norm.append((u, v))
-        norm.sort()
-        for a, b in zip(norm, norm[1:]):
-            if a == b:
-                raise ValueError(f"duplicate edge ({a[0]}, {a[1]})")
-        object.__setattr__(self, "edges", tuple(norm))
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        object.__setattr__(self, "n", n)
+        self.__post_init__(edges)
+
+    def __post_init__(self, edges) -> None:
+        # named as a dataclass's post-init hook, the name under which
+        # bench/tracing.py times the check
+        n = self.n
+        if n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {n}")
+        if isinstance(edges, _Columns):
+            pairs = None
+            us, vs = edges
+        else:
+            pairs = tuple(edges)
+            us = vs = None
+            if ({*map(type, pairs)} <= {tuple} and {*map(len, pairs)} <= {2}
+                    and {*map(type, chain.from_iterable(pairs))} <= {int}):
+                us, vs = _columns(pairs)
+        if us is None or not _is_canonical(n, us, vs):
+            pairs = _normalized(n, zip(us, vs) if pairs is None else pairs)
+            us, vs = _columns(pairs)
+        vars(self).update(_us=us, _vs=vs)
+        if pairs is not None:
+            vars(self)["edges"] = pairs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # label by label, so a tuple column equals an array one
+        return ((self.n, self.m) == (other.n, other.m)
+                and all(map(eq, chain(self._us, self._vs),
+                            chain(other._us, other._vs))))
+
+    def __hash__(self):
+        return hash((self.n, tuple(self._us), tuple(self._vs)))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self._us, self._vs))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self._us)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n
-        for u, v in self.edges:
+        for u in self._us:
             deg[u] += 1
+        for v in self._vs:
             deg[v] += 1
         return tuple(deg)
 
@@ -83,16 +118,17 @@ class Graph:
     @cached_property
     def pair_counts(self) -> dict[tuple[int, int], int]:
         """Sparse degree-pair histogram: (i, j) with i <= j maps to the number
-        of edges whose endpoint degrees are {i, j}.  Shared by every caller,
-        so treat it as read-only."""
-        deg = self.degrees
+        of edges whose endpoint degrees are {i, j}, in order of each key's
+        first edge.  Shared by every caller, so treat it as read-only."""
+        # ordered pairs counted in C, then folded to i <= j; a folded key
+        # first appears with whichever of its two orders comes first.  A
+        # list's __getitem__ is a plain C method, a tuple's a slower wrapper.
+        deg = list(self.degrees).__getitem__
         counts: dict[tuple[int, int], int] = {}
-        for u, v in self.edges:
-            a, b = deg[u], deg[v]
-            if a > b:
-                a, b = b, a
-            key = (a, b)
-            counts[key] = counts.get(key, 0) + 1
+        for (a, b), c in Counter(zip(map(deg, self._us),
+                                     map(deg, self._vs))).items():
+            key = (a, b) if a <= b else (b, a)
+            counts[key] = counts.get(key, 0) + c
         return counts
 
     def relabel(self, perm: Iterable[int]) -> "Graph":
@@ -100,35 +136,55 @@ class Graph:
         p = list(perm)
         if sorted(p) != list(range(self.n)):
             raise ValueError("perm must be a permutation of 0..n-1")
-        return Graph(self.n, tuple((p[u], p[v]) for u, v in self.edges))
+        return Graph(self.n, zip(map(p.__getitem__, self._us),
+                                 map(p.__getitem__, self._vs)))
 
 
-def _is_canonical(n: int, edges: tuple) -> bool:
-    # True when edges is already what Graph.__post_init__ makes of it: int
-    # pairs (u, v) with 0 <= u < v < n in strictly increasing order, so with
-    # no self-loop or duplicate; checked in C-level passes, no per-edge loop
-    if not edges:
+def _columns(pairs) -> tuple[tuple, tuple]:
+    # the first and the second label of every pair, as two tuples
+    return tuple(map(itemgetter(0), pairs)), tuple(map(itemgetter(1), pairs))
+
+
+def _is_canonical(n: int, us, vs) -> bool:
+    # True when the columns are what Graph keeps: 0 <= u < v < n for every
+    # edge, in strictly increasing (u, v) order, so with no self-loop or
+    # duplicate; checked in C-level passes, no per-edge loop
+    if not us:
         return True
-    if ({*map(type, edges)} != {tuple} or {*map(len, edges)} != {2}
-            or {*map(type, chain.from_iterable(edges))} != {int}):
-        return False
-    # iterators, not lists: no m-sized copy beside the edges
-    first, second = itemgetter(0), itemgetter(1)
-    return (edges[0][0] >= 0 and max(map(second, edges)) < n
-            and all(map(lt, map(first, edges), map(second, edges)))
-            and all(map(lt, edges, islice(edges, 1, None))))
+    return (us[0] >= 0 and max(vs) < n and all(map(lt, us, vs))
+            and all(map(lt, zip(us, vs), islice(zip(us, vs), 1, None))))
 
 
-def _graph_unchecked(n: int, edges: tuple[tuple[int, int], ...],
+def _normalized(n: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
+    # the per-edge check, for pairs not already canonical: each normalized
+    # to (min, max) and range-checked in order, then sorted and searched for
+    # duplicates
+    norm = []
+    for e in pairs:
+        u, v = e
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if u > v:
+            u, v = v, u
+        if u < 0 or v >= n:
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        norm.append((u, v))
+    norm.sort()
+    for a, b in zip(norm, norm[1:]):
+        if a == b:
+            raise ValueError(f"duplicate edge ({a[0]}, {a[1]})")
+    return tuple(norm)
+
+
+def _graph_unchecked(n: int, us: tuple, vs: tuple,
                      degrees: Optional[tuple[int, ...]] = None) -> Graph:
-    # Fast path for the enumerator and parse_graph6, whose edges are sorted
-    # and valid by construction; the degrees the enumerator already knows
-    # are seeded into their cache.
+    # Fast path for the enumerator and parse_graph6, whose columns are
+    # sorted and valid by construction; the degrees the enumerator already
+    # knows are seeded into their cache.
     g = object.__new__(Graph)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "edges", edges)
+    vars(g).update(n=n, _us=us, _vs=vs)
     if degrees is not None:
-        g.__dict__["degrees"] = degrees
+        vars(g)["degrees"] = degrees
     return g
 
 
@@ -159,11 +215,12 @@ def parse_edge_list(text: str) -> Graph:
     return that does not end the line, or a control byte that str.split()
     takes for a space (\\x0b, \\x0c, \\x1c-\\x1f), before any line is parsed.
 
-    The text is parsed in bulk and returns a sorted Graph with its degrees
-    filled in (none when n > 2m, so no n-sized array is built for a graph
-    that must have an isolated vertex).  Input the bulk pass refuses, a
-    fault or a form such as "+3" that int() reads, is parsed line by line,
-    which reports the first fault in file order.
+    The text is parsed in bulk into a Graph's two sorted columns, with no
+    pair built per edge, and the Graph has its degrees filled in (none when
+    n > 2m, so no n-sized array is built for a graph that must have an
+    isolated vertex).  Input the bulk pass refuses, a fault or a form such
+    as "+3" that int() reads, is parsed line by line, which reports the
+    first fault in file order.
     """
     # int() would read "1_1" and non-ASCII digits, and split() would split
     # at a non-ASCII space or at these control bytes; the whole-text test
@@ -210,34 +267,22 @@ def _parse_edge_list_bulk(text: str) -> Optional[Graph]:
     if labels and max(labels) >= n:
         return None
     # edge (u, v), u < v, as u*n + v: sorting the keys sorts the edges, and
-    # labels below n decode back with divmod
+    # labels below n decode back into the two columns
     us, vs = labels[::2], labels[1::2]
+    del labels
     keys = sorted(map(add, map(mul, map(min, us, vs), repeat(n)), map(max, us, vs)))
-    del labels, us, vs
-    pairs = map(divmod, keys, repeat(n))
-    degrees = None
-    if n > 2 * len(keys):
-        edges = tuple(pairs)
-    else:
-        deg = [0] * n
-        edges = []
-        append = edges.append
-        for e in pairs:
-            u, v = e
-            deg[u] += 1
-            deg[v] += 1
-            append(e)
-        edges = tuple(edges)
-        degrees = tuple(deg)
+    del us, vs
+    columns = _Columns(array("q", map(floordiv, keys, repeat(n))),
+                       array("q", map(mod, keys, repeat(n))))
     del keys
     try:
-        # sorted pairs pass Graph's check in bulk, which finds a self-loop
-        # as u == v and a duplicate as two equal neighbours
-        g = Graph(n, edges)
+        # Graph's bulk check finds a self-loop as u == v and a duplicate as
+        # two equal neighbours
+        g = Graph(n, columns)
     except ValueError:
         return None
-    if degrees is not None:
-        g.__dict__["degrees"] = degrees
+    if n <= 2 * g.m:
+        g.degrees  # counted here, so that a parsed graph has its degrees
     return g
 
 
@@ -291,15 +336,16 @@ def _parse_edge_list_lines(text: str) -> Graph:
 def format_edge_list(g: Graph) -> str:
     """Serialize a graph in the edge-list format (inverse of parse_edge_list)."""
     lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    lines.extend(map("{} {}".format, g._us, g._vs))
     return "\n".join(lines) + "\n"
 
 
 _G6_HEADER = ">>graph6<<"
 _G6_BAD_BYTE = re.compile(r"[^?-~]")
 # graph6 bit order: the pairs (i, j), i < j, for j = 1, 2, ... and i = 0..j-1,
-# up to n = 62; the pairs of a smaller n are a prefix
-_G6_PAIRS = tuple((i, j) for j in range(1, 62) for i in range(j))
+# up to n = 62, as keys i * 64 + j, which sort as the pairs do; the pairs of
+# a smaller n are a prefix
+_G6_KEYS = tuple(i << 6 | j for j in range(1, 62) for i in range(j))
 # each graph6 byte's six bits, most significant first, as code points 0 and 1
 _G6_BITS = {b: "".join(chr((b - 63) >> s & 1) for s in range(5, -1, -1))
             for b in range(63, 127)}
@@ -336,7 +382,9 @@ def parse_graph6(text: str) -> Graph:
     if any(bits[nbits:]):
         raise GraphFormatError("non-zero padding bits in graph6 string")
     # the pairs come in colex order, which is not sorted lexicographically
-    return _graph_unchecked(n, tuple(sorted(compress(_G6_PAIRS, bits))))
+    keys = sorted(compress(_G6_KEYS, bits))
+    return _graph_unchecked(n, tuple(map(rshift, keys, repeat(6))),
+                            tuple(map(and_, keys, repeat(63))))
 
 
 def to_graph6(g: Graph) -> str:
@@ -344,9 +392,9 @@ def to_graph6(g: Graph) -> str:
     if g.n > 62:
         raise ValueError(f"graph6 encoding supports n <= 62, got {g.n}")
     nbits = g.n * (g.n - 1) // 2
-    present = set(g.edges)
-    bits = "".join(["\x01" if p in present else "\x00"
-                    for p in _G6_PAIRS[:nbits]])
+    present = set(map(or_, map(lshift, g._us, repeat(6)), g._vs))
+    bits = "".join(["\x01" if k in present else "\x00"
+                    for k in _G6_KEYS[:nbits]])
     bits += "\x00" * (-nbits % 6)
     return chr(63 + g.n) + "".join(
         [_G6_BYTE[bits[t:t + 6]] for t in range(0, len(bits), 6)])
@@ -384,9 +432,9 @@ def is_connected(g: Graph) -> bool:
     n = g.n
     if n < 1:
         raise ValueError("connectivity undefined for n = 0")
-    if len(g.edges) < n - 1:
+    if g.m < n - 1:
         return False
-    return _unite(array("q", range(n)), g.edges, n - 1) == n - 1
+    return _unite(array("q", range(n)), zip(g._us, g._vs), n - 1) == n - 1
 
 
 def _unite(parent: array, pairs: Iterable[tuple[int, int]], merges: int) -> int:
@@ -436,7 +484,7 @@ def biregular_certificate(g: Graph) -> Optional[BiregularCertificate]:
     here), and more than 2m vertices mean one is there, so such a graph is
     refused before any n-sized array is built.
     """
-    if not g.edges or g.n > 2 * g.m:
+    if not g.m or g.n > 2 * g.m:
         return None
     n = g.n
     d, D = g.degree_range
@@ -447,8 +495,9 @@ def biregular_certificate(g: Graph) -> Optional[BiregularCertificate]:
         side = [x == D for x in g.degrees]
     else:
         parent = array("q", range(2 * n))
-        _unite(parent, chain(((u, v + n) for u, v in g.edges),
-                             ((u + n, v) for u, v in g.edges)), 2 * n - 1)
+        us, vs = g._us, g._vs
+        _unite(parent, chain(zip(us, map(add, vs, repeat(n))),
+                             zip(map(add, us, repeat(n)), vs)), 2 * n - 1)
         # parents precede children, so one pass in label order finds roots
         for v in range(2 * n):
             parent[v] = parent[parent[v]]

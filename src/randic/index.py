@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .graphs import Graph
 
@@ -55,9 +56,13 @@ def randic_direct(g: Graph) -> RandicValue:
 def randic_deviation(g: Graph) -> float:
     """Evaluate the index as n/2 minus half the summed squared differences
     of reciprocal root degrees over edges (zero exactly on regular graphs)."""
-    deg = _checked_degrees(g)
-    inv = {x: 1.0 / math.sqrt(x) for x in set(deg)}
-    dev = math.fsum(0.5 * (inv[deg[u]] - inv[deg[v]]) ** 2 for u, v in g.edges)
+    _checked_degrees(g)
+    # an edge's term depends only on its endpoint degrees {i, j}, so each
+    # degree pair adds its term once per edge; fsum rounds the exact sum,
+    # whatever the order of its terms
+    dev = math.fsum(chain.from_iterable(
+        repeat(0.5 * (1.0 / math.sqrt(i) - 1.0 / math.sqrt(j)) ** 2, c)
+        for (i, j), c in g.pair_counts.items()))
     return g.n / 2 - dev
 
 
