@@ -35,7 +35,9 @@ its degree-sorted graphs.
 
 The walk can be partitioned by fixing the first k edge bits; partitions are
 processed independently, their key counts summed and their witness pairs
-merged by min, so results do not depend on the worker count.
+merged by min, so results do not depend on the worker count.  An n whose
+whole walk costs less than starting a pool is not partitioned and runs in
+the calling process.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing import Pool
 from typing import Iterator, Optional
 
 from .bounds import (bounds_report, decomposition_residual, telescope_gap,
@@ -59,12 +60,18 @@ from .index import IDENTITY_TOLERANCE, randic_deviation, randic_direct
 #: Hard cap on the vertex count.  n = 9 works but adds about 66.4 billion
 #: labeled graphs (37,091,190 degree-sorted ones): ``verify --max-n 9 --jobs 2``
 #: took 11.5 minutes wall (19 CPU-minutes) on a 2-vCPU Xeon, and ``enumerate
-#: --max-n 9 --jobs 2`` 13.8 minutes (23), against 8-10 s wall (12-16 CPU-s)
-#: for ``verify --max-n 8``.
+#: --max-n 9 --jobs 2`` 13.8 minutes (23), against 6.4-8.5 s wall (12-16
+#: CPU-s) for ``verify --max-n 8 --jobs 2``.
 MAX_VERTICES = 9
 
 #: Seed for the random triples of the gap-positivity check.
 _GAP_SEED = 8128
+
+#: The largest n whose degree-sorted walk runs whole in the calling process,
+#: whatever the job count: n = 6 has 852 leaves and takes about 9 ms CPU,
+#: while starting, feeding and stopping a 2-worker pool takes 26-51 ms; n = 7
+#: (15,822 leaves, about 0.23 s) is the first worth splitting.
+_UNSPLIT_MAX_N = 6
 
 
 def enumerate_graphs(n: int, *, connected: Optional[bool] = None,
@@ -242,12 +249,22 @@ CSV_COLUMNS = ("n", "d", "D", "classCount", "minR", "maxR", "argmin", "argmax",
 
 
 def _run(fn, tasks: list[tuple], jobs: int) -> list:
-    """fn(*task) for every task, on up to ``jobs`` worker processes, with the
-    results in task order."""
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(min(jobs, len(tasks))) as pool:
-            return pool.starmap(fn, tasks, chunksize=1)
-    return [fn(*task) for task in tasks]
+    """fn(*task) for every task, with the results in task order.
+
+    A task ends with its prefix.  Unsplit tasks (empty prefix) run in this
+    process; the split ones go to a pool of up to ``jobs`` workers, one at a
+    time and last first: the degree-sorted walk puts the largest degrees on
+    the lowest labels, so its heaviest partitions come last in prefix order.
+    """
+    results = [None if task[-1] else fn(*task) for task in tasks]
+    split = [i for i, task in enumerate(tasks) if task[-1]][::-1]
+    if split:
+        from multiprocessing import Pool  # about 10 ms to import
+        with Pool(min(jobs, len(split))) as pool:
+            parts = pool.starmap(fn, [tasks[i] for i in split], chunksize=1)
+        for i, part in zip(split, parts):
+            results[i] = part
+    return results
 
 
 def _merge_keys(tasks: list[tuple], parts: list[dict]) -> dict[tuple[int, int], list]:
@@ -301,10 +318,12 @@ def _cap_jobs(jobs: int) -> int:
 
 
 def _prefix_tasks(n: int, jobs: int) -> list[tuple[int, ...]]:
-    total = n * (n - 1) // 2
-    if jobs <= 1 or total == 0:
+    """The prefixes that split n's walk for ``jobs`` workers: [()] (one
+    unsplit walk, in the calling process) for one job or n <=
+    _UNSPLIT_MAX_N, else every k-bit prefix, at least 4 per job."""
+    if jobs <= 1 or n <= _UNSPLIT_MAX_N:
         return [()]
-    k = min(total, max(1, (4 * jobs - 1).bit_length()))
+    k = min(n * (n - 1) // 2, (4 * jobs - 1).bit_length())
     return [tuple((idx >> (k - 1 - b)) & 1 for b in range(k))
             for idx in range(2 ** k)]
 

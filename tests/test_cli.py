@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -408,6 +412,18 @@ def test_jobs_default_from_env(monkeypatch):
     monkeypatch.setenv("RANDIC_JOBS", "junk")
     args = build_parser().parse_args(["verify", "--max-n", "3"])
     assert args.jobs == 1
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # the pool is imported only by a run that starts one, so bounds,
+    # compute, construct and a verify or scan at n <= 6 never pay for it
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = ("import sys, randic.cli; print(sorted("
+            "m for m in sys.modules if m.startswith('multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "[]\n"
 
 
 def test_usage_error_exits_2():

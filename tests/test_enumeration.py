@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import multiprocessing
 from collections import Counter
 from types import SimpleNamespace
 
@@ -254,8 +256,9 @@ def test_verify_worker_count_invariance():
 
 def _record_pools(monkeypatch, cpus):
     """Let this process run on ``cpus`` CPUs and replace multiprocessing.Pool
-    by a stand-in that runs its tasks inline, so no process is started;
-    returns the list the stand-in appends (pool size, task count) to."""
+    by a stand-in that runs its tasks inline, in the order it receives them,
+    so no process is started; returns the list the stand-in appends (pool
+    size, chunksize, task prefixes in the order received) to."""
     pools = []
 
     class RecordingPool:
@@ -269,10 +272,11 @@ def _record_pools(monkeypatch, cpus):
             return False
 
         def starmap(self, fn, tasks, chunksize=None):
-            pools.append((self.processes, len(tasks)))
+            pools.append((self.processes, chunksize,
+                          [task[-1] for task in tasks]))
             return [fn(*task) for task in tasks]
 
-    monkeypatch.setattr(randic.enumeration, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(randic.enumeration.os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
     return pools
@@ -280,25 +284,64 @@ def _record_pools(monkeypatch, cpus):
 
 def test_pool_never_larger_than_task_list(monkeypatch):
     pools = _record_pools(monkeypatch, cpus=64)
-    # n = 2 and n = 3 split into 2 + 8 prefix tasks whatever jobs asks for
-    assert verify_theorems(3, jobs=64) == verify_theorems(3)
-    assert extremal_scan(3, jobs=64) == extremal_scan(3)
-    assert [size for size, _ in pools] == [10, 10]
+    # n <= 6 is walked whole in this process whatever jobs asks for
+    assert verify_theorems(6, jobs=64) == verify_theorems(6)
+    assert extremal_scan(6, jobs=64) == extremal_scan(6)
+    assert pools == []
+    # only the split tasks go to the pool, which they bound, last first; the
+    # results come back in task order
+    tasks = [(7, (0,)), (5, ()), (7, (1,))]
+    assert randic.enumeration._run(lambda *task: task, tasks, 64) == tasks
+    assert pools == [(2, 1, [(1,), (0,)])]
 
 
 @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
 def test_jobs_capped_at_usable_cpus(monkeypatch, affinity):
-    # uncapped, a million jobs would split n = 8 into 2^22 prefix tasks and
+    # uncapped, a million jobs would split n = 7 into 2^21 prefix tasks and
     # ask for a pool of 10^6 processes
     pools = _record_pools(monkeypatch, cpus=3)
     if not affinity:
         monkeypatch.delattr(randic.enumeration.os, "sched_getaffinity",
                             raising=False)
         monkeypatch.setattr(randic.enumeration.os, "cpu_count", lambda: 3)
-    assert verify_theorems(4, jobs=10 ** 6) == verify_theorems(4, jobs=3)
-    assert extremal_scan(4, jobs=10 ** 6) == extremal_scan(4, jobs=3)
-    # 3 jobs split n = 2, 3, 4 into 2 + 8 + 16 prefix tasks
-    assert pools == [(3, 26)] * 4
+    assert verify_theorems(7, jobs=10 ** 6) == verify_theorems(7, jobs=3)
+    assert extremal_scan(7, jobs=10 ** 6) == extremal_scan(7, jobs=3)
+    # 3 jobs split n = 7 into 16 prefix tasks, handed out one at a time from
+    # the last, the all-ones prefix, whose partition is the heaviest
+    last_first = list(itertools.product((0, 1), repeat=4))[::-1]
+    assert last_first[0] == (1, 1, 1, 1)
+    assert pools == [(3, 1, last_first)] * 4
+
+
+def test_pool_matches_one_process(monkeypatch):
+    # n = 7 is the first n split into prefix tasks, so at 2 jobs a real pool
+    # walks it; the faults hit only graphs with 16 or more edges, all at
+    # n = 7, so each first counterexample is a graph some worker walked
+    started = []
+    pool = multiprocessing.Pool
+
+    def spy(processes):
+        started.append(processes)
+        return pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    monkeypatch.setattr(randic.enumeration.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+
+    def dense(pairs):
+        return sum(pairs.values()) >= 16
+
+    _inject(monkeypatch, SimpleNamespace(
+        offset=lambda pairs: 1e-6 if dense(pairs) else 0.0,
+        lower=dense, upper=dense))
+    serial = verify_theorems(7, jobs=1)
+    assert {c.name for c in serial.checks if c.failures} == {
+        "identity", "decomposition", "lower-bound", "upper-bound"}
+    assert verify_theorems(7, jobs=2) == serial
+    for connected_only in (False, True):
+        assert (extremal_scan(7, connected_only=connected_only, jobs=2)
+                == extremal_scan(7, connected_only=connected_only, jobs=1))
+    assert started == [2, 2, 2]
 
 
 def test_verify_json_shape(verify4):
