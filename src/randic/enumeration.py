@@ -4,11 +4,11 @@ verification harness.
 Generation walks the upper-triangle adjacency bits in graph6 order with two
 degree prunes: a branch that would push a vertex past the maximum degree is
 skipped, and a subtree is skipped as soon as some vertex cannot reach the
-minimum degree with its remaining undecided slots.  Each vertex carries an
-adjacency bitmask, toggled with its edge bits, from which connectivity is
-decided at the leaf.  ``enumerate_graphs`` is labeled (no isomorphism
-reduction) and is the oracle the tests compare against; a best-effort
-canonical relabeling is applied only to reported witness graphs.
+minimum degree with its remaining undecided slots.  At each leaf the
+union-find of ``is_connected`` decides connectivity on the leaf's edges.
+``enumerate_graphs`` is labeled (no isomorphism reduction) and is the oracle
+the tests compare against; a best-effort canonical relabeling is applied
+only to reported witness graphs.
 
 Every per-graph check of the verification, and every scan statistic but the
 extremal witnesses, is a function of n, the degree-pair histogram and
@@ -53,14 +53,14 @@ from typing import Iterator, Optional
 from .bounds import (bounds_report, decomposition_residual, telescope_gap,
                      upper_bound)
 from .constructions import build_degree_chain, degree_chain_certificate
-from .graphs import (Graph, _columns, _graph_unchecked, is_connected,
-                     to_graph6)
+from .graphs import (Graph, _columns, _graph_unchecked, _unite,
+                     is_connected, to_graph6)
 from .index import IDENTITY_TOLERANCE, randic_deviation, randic_direct
 
 #: Hard cap on the vertex count.  n = 9 works but adds about 66.4 billion
 #: labeled graphs (37,091,190 degree-sorted ones): ``verify --max-n 9 --jobs 2``
 #: took 11.5 minutes wall (19 CPU-minutes) on a 2-vCPU Xeon, and ``enumerate
-#: --max-n 9 --jobs 2`` 13.8 minutes (23), against 6.4-8.5 s wall (12-16
+#: --max-n 9 --jobs 2`` 13.8 minutes (23), against 6.2-7.4 s wall (12-14
 #: CPU-s) for ``verify --max-n 8 --jobs 2``.
 MAX_VERTICES = 9
 
@@ -81,8 +81,9 @@ def enumerate_graphs(n: int, *, connected: Optional[bool] = None,
     """Yield every labeled simple graph on n vertices meeting the constraints,
     exactly once, in a fixed order (two runs produce identical streams).
 
-    ``prefix`` pins the first len(prefix) adjacency bits, which is how the
-    scan tree is partitioned across workers.  Requires 1 <= n <= MAX_VERTICES.
+    ``prefix`` pins the first len(prefix) adjacency bits, in graph6 order:
+    only the graphs with those bits are yielded.  Requires 1 <= n <=
+    MAX_VERTICES.
     """
     for edges, deg, _, _ in _walk(n, connected, min_degree, max_degree, prefix):
         yield _graph_unchecked(n, *_columns(sorted(edges)), deg)
@@ -138,21 +139,14 @@ def _walk(n: int, connected: Optional[bool], min_degree: Optional[int],
     # u - 1, that never prunes: degree 0, and n slots still undecided
     deg = [0] * n + [0]
     rem = [n - 1] * n + [n]
-    adj = [0] * n  # adjacency bitmask per vertex
-    everyone = (1 << n) - 1
+    pin = [*prefix] + [None] * (total - len(prefix))  # None: both branches
     edges: list[tuple[int, int]] = []
 
     def rec(t: int) -> Iterator[tuple]:
         if t == total:
-            # grow the set reached from vertex 0 one frontier vertex at a time
-            reached = frontier = 1
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                new = adj[low.bit_length() - 1] & ~reached
-                reached |= new
-                frontier |= new
-            linked = reached == everyone
+            # is_connected's union-find and its refusal of m < n - 1
+            linked = (len(edges) >= n - 1
+                      and _unite(list(range(n)), edges, n - 1) == n - 1)
             if connected is None or linked == connected:
                 key = int(linked)
                 for u, v in edges:
@@ -164,29 +158,25 @@ def _walk(n: int, connected: Optional[bool], min_degree: Optional[int],
         ru = rem[u] = rem[u] - 1
         rv = rem[v] = rem[v] - 1
         du, dv = deg[u], deg[v]
-        # When ordered, deg[a] + rem[a] >= deg[a + 1] holds for every a on
-        # entry, and at a leaf, where rem is 0, it says the degrees do not
-        # increase.  Leaving (u, v) out lowers deg + rem at u and v only;
-        # putting it in raises deg at u and v only.
-        for bit in (prefix[t],) if t < len(prefix) else (0, 1):
-            if bit == 0:
-                if du + ru >= lo and dv + rv >= lo and not (ordered and (
-                        du + ru < deg[u + 1] or dv + rv < deg[v + 1])):
-                    yield from rec(t + 1)
-            elif du < hi and dv < hi and du + 1 + ru >= lo and dv + 1 + rv >= lo:
-                deg[u] = du + 1
-                deg[v] = dv + 1
-                if not (ordered and (deg[u - 1] + rem[u - 1] <= du
-                                     or deg[v - 1] + rem[v - 1] <= dv)):
-                    adj[u] ^= 1 << v
-                    adj[v] ^= 1 << u
-                    edges.append((u, v))
-                    yield from rec(t + 1)
-                    edges.pop()
-                    adj[u] ^= 1 << v
-                    adj[v] ^= 1 << u
-                deg[u] = du
-                deg[v] = dv
+        bit = pin[t]
+        # deg[a] + rem[a] >= lo holds for every a on entry (n - 1 at the
+        # root): leaving (u, v) out lowers it at u and v only, putting it in
+        # keeps it.  When ordered, so does deg[a] + rem[a] >= deg[a + 1],
+        # which at a leaf, where rem is 0, says the degrees do not increase;
+        # putting (u, v) in raises deg at u and v only.
+        if bit != 1 and du + ru >= lo and dv + rv >= lo and not (ordered and (
+                du + ru < deg[u + 1] or dv + rv < deg[v + 1])):
+            yield from rec(t + 1)
+        if bit != 0 and du < hi and dv < hi:
+            deg[u] = du + 1
+            deg[v] = dv + 1
+            if not (ordered and (deg[u - 1] + rem[u - 1] <= du
+                                 or deg[v - 1] + rem[v - 1] <= dv)):
+                edges.append((u, v))
+                yield from rec(t + 1)
+                edges.pop()
+            deg[u] = du
+            deg[v] = dv
         rem[u] += 1
         rem[v] += 1
 

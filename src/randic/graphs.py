@@ -41,12 +41,14 @@ class Graph:
     object each; other columns are tuples, which share the int objects of
     the pairs or tables they were read from.  Any iterable of vertex pairs
     is accepted; edges are normalized to ``(min, max)`` and sorted.
-    Self-loops, duplicates and out-of-range labels are rejected.  Int pairs
-    already in that form, and columns, are checked in bulk.
+    Self-loops, duplicates, out-of-range labels and an ``n`` or label that
+    is not an ``int`` are rejected, a ``bool`` too: ``format_edge_list``
+    would write it as "True" or "False".  Int pairs already in that form,
+    and columns, are checked in bulk.
 
-    ``edges``, the sorted tuple of pairs, is kept when pairs were given and
-    otherwise built on first use; the readers in this package read the
-    columns.  ``degrees``, ``degree_range`` and the degree-pair histogram
+    ``edges``, the sorted tuple of pairs, is built on first use: the columns
+    are the one copy of the edges, and the readers in this package read
+    them.  ``degrees``, ``degree_range`` and the degree-pair histogram
     ``pair_counts`` are computed on first use and cached.
     """
 
@@ -60,6 +62,8 @@ class Graph:
         # named as a dataclass's post-init hook, the name under which
         # bench/tracing.py times the check
         n = self.n
+        if type(n) is not int:
+            raise ValueError(f"vertex count {n!r} is a {type(n).__name__}, not an int")
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         if isinstance(edges, _Columns):
@@ -75,8 +79,6 @@ class Graph:
             pairs = _normalized(n, zip(us, vs) if pairs is None else pairs)
             us, vs = _columns(pairs)
         vars(self).update(_us=us, _vs=vs)
-        if pairs is not None:
-            vars(self)["edges"] = pairs
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -156,12 +158,15 @@ def _is_canonical(n: int, us, vs) -> bool:
 
 
 def _normalized(n: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
-    # the per-edge check, for pairs not already canonical: each normalized
-    # to (min, max) and range-checked in order, then sorted and searched for
-    # duplicates
+    # the per-edge check, for pairs not already canonical: each type-checked,
+    # normalized to (min, max) and range-checked in order, then sorted and
+    # searched for duplicates
     norm = []
     for e in pairs:
         u, v = e
+        if type(u) is not int or type(v) is not int:
+            x = v if type(u) is int else u
+            raise ValueError(f"vertex label {x!r} is a {type(x).__name__}, not an int")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if u > v:
@@ -437,7 +442,8 @@ def is_connected(g: Graph) -> bool:
     return _unite(array("q", range(n)), zip(g._us, g._vs), n - 1) == n - 1
 
 
-def _unite(parent: array, pairs: Iterable[tuple[int, int]], merges: int) -> int:
+def _unite(parent: list[int] | array, pairs: Iterable[tuple[int, int]],
+           merges: int) -> int:
     """Union-find: join each pair's sets in the forest ``parent``, stopping
     after ``merges`` merges, and return the merges made.  Paths are halved
     and the larger root goes under the smaller, so a parent's label never

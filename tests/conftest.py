@@ -12,11 +12,13 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import multiprocessing
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 import pytest
 
+import randic.enumeration
 from randic import Graph
 
 
@@ -182,3 +184,20 @@ def c5() -> Graph:
 @pytest.fixture
 def k23() -> Graph:
     return complete_bipartite(2, 3)
+
+
+@pytest.fixture
+def started_pools(monkeypatch) -> list[int]:
+    """Let this process run on 2 CPUs and record the size of every
+    multiprocessing.Pool started, each a real pool; returns that list."""
+    started = []
+    pool = multiprocessing.Pool
+
+    def spy(processes):
+        started.append(processes)
+        return pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    monkeypatch.setattr(randic.enumeration.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    return started

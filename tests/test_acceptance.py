@@ -165,10 +165,13 @@ def test_criterion_9b_pruned_vs_naive():
     _passed("9b pruned enumeration equals naive filter-after-generate, n<=5")
 
 
-def test_criterion_9c_worker_invariance():
-    assert extremal_scan(5, jobs=1) == extremal_scan(5, jobs=4)
-    assert verify_theorems(4, jobs=1) == verify_theorems(4, jobs=3)
-    _passed("9c scan and verify results identical for 1 vs k workers")
+def test_criterion_9c_worker_invariance(started_pools):
+    # every n <= 6 is walked in this process whatever jobs says; n = 7 is
+    # split across a pool
+    assert extremal_scan(7, jobs=1) == extremal_scan(7, jobs=2)
+    assert verify_theorems(7, jobs=1) == verify_theorems(7, jobs=2)
+    assert started_pools == [2, 2]
+    _passed("9c scan and verify results identical for 1 vs 2 workers at n=7")
 
 
 def test_criterion_9d_cli_verify_exits_zero(capsys):

@@ -155,6 +155,41 @@ def test_prefix_partitions_cover_disjointly():
     assert union == full
 
 
+def _walk_items(n, connected, min_degree, prefix, ordered):
+    # the walk's items, each with a copy of its edge list
+    return [(tuple(edges), deg, key, weight) for edges, deg, key, weight
+            in _walk(n, connected, min_degree, None, prefix, ordered)]
+
+
+@pytest.mark.parametrize("ordered", [False, True], ids=["labeled", "sorted"])
+def test_pinned_walk_is_unpinned_walk_with_those_first_bits(ordered):
+    # a prefix pins the first bits, in graph6 pair order, and nothing else:
+    # the pinned walk yields, in order, the unpinned walk's items whose
+    # first bits match, and the connected filter keeps the graphs the
+    # naive search calls connected, the key's bit 0
+    for n in range(1, 7):
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        prefixes = [prefix for k in range(1, min(3, len(pairs)) + 1)
+                    for prefix in itertools.product((0, 1), repeat=k)]
+        for min_degree in (None, 1):
+            every = _walk_items(n, None, min_degree, (), ordered)
+            linked = [_naive_connected(n, edges) for edges, *_ in every]
+            assert [key & 1 for _, _, key, _ in every] == linked
+            # each item's first three bits
+            heads = [tuple(int(e in edges) for e in pairs[:3])
+                     for edges, *_ in every]
+            for connected in (None, True, False):
+                kept = [i for i, c in enumerate(linked)
+                        if connected in (None, c)]
+                assert _walk_items(n, connected, min_degree, (), ordered) == [
+                    every[i] for i in kept]
+                for prefix in prefixes:
+                    assert _walk_items(n, connected, min_degree, prefix,
+                                       ordered) == [
+                        every[i] for i in kept
+                        if heads[i][:len(prefix)] == prefix]
+
+
 def test_prefix_validation():
     with pytest.raises(ValueError):
         list(enumerate_graphs(3, prefix=(0, 1, 0, 1)))
@@ -313,21 +348,10 @@ def test_jobs_capped_at_usable_cpus(monkeypatch, affinity):
     assert pools == [(3, 1, last_first)] * 4
 
 
-def test_pool_matches_one_process(monkeypatch):
+def test_pool_matches_one_process(monkeypatch, started_pools):
     # n = 7 is the first n split into prefix tasks, so at 2 jobs a real pool
     # walks it; the faults hit only graphs with 16 or more edges, all at
     # n = 7, so each first counterexample is a graph some worker walked
-    started = []
-    pool = multiprocessing.Pool
-
-    def spy(processes):
-        started.append(processes)
-        return pool(processes)
-
-    monkeypatch.setattr(multiprocessing, "Pool", spy)
-    monkeypatch.setattr(randic.enumeration.os, "sched_getaffinity",
-                        lambda pid: {0, 1}, raising=False)
-
     def dense(pairs):
         return sum(pairs.values()) >= 16
 
@@ -341,7 +365,7 @@ def test_pool_matches_one_process(monkeypatch):
     for connected_only in (False, True):
         assert (extremal_scan(7, connected_only=connected_only, jobs=2)
                 == extremal_scan(7, connected_only=connected_only, jobs=1))
-    assert started == [2, 2, 2]
+    assert started_pools == [2, 2, 2]
 
 
 def test_verify_json_shape(verify4):

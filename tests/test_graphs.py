@@ -42,6 +42,11 @@ def test_graph_normalizes_edges():
     (3, ((0, 3),), "out of range"),
     (3, ((0, 1), (1, 0)), "duplicate"),
     (-1, (), "non-negative"),
+    (3, ((0.5, 1.5),), "vertex label 0.5 is a float, not an int"),
+    (3, ((0, 1.0), (1, 2)), "vertex label 1.0 is a float, not an int"),
+    (2, ((False, True),), "vertex label False is a bool, not an int"),
+    (3.0, (), "vertex count 3.0 is a float, not an int"),
+    (True, (), "vertex count True is a bool, not an int"),
 ])
 def test_graph_rejects_invalid(n, edges, message):
     with pytest.raises(ValueError, match=message):
@@ -53,11 +58,18 @@ def oracle_graph_edges(n, edges):
     message of what it raises; kept as the oracle of the bulk check that
     takes input already in canonical form."""
     try:
+        if type(n) is not int:
+            raise ValueError(f"vertex count {n!r} is a {type(n).__name__}, "
+                             "not an int")
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         norm = []
         for e in edges:
             u, v = e
+            for x in (u, v):
+                if type(x) is not int:
+                    raise ValueError(f"vertex label {x!r} is a "
+                                     f"{type(x).__name__}, not an int")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if u > v:
@@ -106,9 +118,11 @@ def _perturb(rng, n, edges):
     elif kind == "triple":
         edges[k] = (u, v, v)
     elif kind == "bool":
-        edges[k] = (False, True) if (u, v) == (0, 1) else (u, float(v))
+        # a bool in either place, equal to the label it replaces or not
+        edges[k] = rng.choice([(bool(u), v), (u, bool(v)), (u, True)])
     elif kind == "float":
-        edges[k] = (float(u), v)
+        # integral or not, a float is refused
+        edges[k] = rng.choice([(float(u), v), (u, float(v) + 0.5)])
     else:
         edges[k] = (str(u), str(v))
     return tuple(edges)
@@ -120,7 +134,7 @@ def test_graph_takes_canonical_edges_as_the_per_edge_loop_does():
         n = rng.randint(2, 9)
         pairs = list(itertools.combinations(range(n), 2))
         edges = tuple(sorted(rng.sample(pairs, rng.randint(1, len(pairs)))))
-        assert Graph(n, edges).edges is edges
+        assert Graph(n, edges).edges == edges
         for _ in range(rng.randint(1, 2)):
             edges = _perturb(rng, n, edges)
         got = _graph_edges(n, edges)
