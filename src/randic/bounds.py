@@ -11,9 +11,8 @@ structural.  The float slacks carried by the report are diagnostics only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .constructions import DegreeChainCertificate, degree_chain_certificate
 from .graphs import (BiregularCertificate, Graph, biregular_certificate,
@@ -134,8 +133,7 @@ def _upper_sign(pairs: dict[tuple[int, int], int], d: int, D: int) -> int:
     return int(spans or max(cover) > 1)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Both bounds, the baseline, slacks, and equality certificates.
 
     For a regular graph (d = D) the index is exactly n/2 and both bounds

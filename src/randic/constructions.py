@@ -12,17 +12,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 from operator import ne
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class DegreeChainCertificate:
+class DegreeChainCertificate(NamedTuple):
     """Witness of upper-bound equality structure.
 
     cross_edges lists, for each i in [d, D-1] in order, the unique edge

@@ -46,9 +46,8 @@ import math
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .bounds import (bounds_report, decomposition_residual, telescope_gap,
                      upper_bound)
@@ -203,8 +202,7 @@ def canonical_graph6(g: Graph) -> str:
     return to_graph6(g.relabel(perm))
 
 
-@dataclass(frozen=True)
-class EnumerationSummary:
+class EnumerationSummary(NamedTuple):
     """Extremal statistics for one (n, d, D) class of enumerated graphs."""
 
     n: int
@@ -357,8 +355,7 @@ def extremal_scan(n_max: int, connected_only: bool = False,
     return summaries
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     checked: int
     failures: int
@@ -369,8 +366,7 @@ class CheckResult:
         return self.failures == 0
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     max_n: int
     graphs: int
     checks: tuple[CheckResult, ...]

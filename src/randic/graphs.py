@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import (add, and_, eq, floordiv, gt, itemgetter, lshift, lt,
@@ -32,7 +31,6 @@ class _Columns(NamedTuple):
     vs: array
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Graph:
     """Immutable simple graph: vertex count plus its edges as two columns.
 
@@ -50,17 +48,21 @@ class Graph:
     are the one copy of the edges, and the readers in this package read
     them.  ``degrees``, ``degree_range`` and the degree-pair histogram
     ``pair_counts`` are computed on first use and cached.
+
+    ``Graph`` is a plain class, not a dataclass: its attributes are written
+    once, through ``vars(self)``, and assigning or deleting one raises
+    ``AttributeError``.
     """
 
     n: int
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        object.__setattr__(self, "n", n)
+        vars(self)["n"] = n
         self.__post_init__(edges)
 
     def __post_init__(self, edges) -> None:
-        # named as a dataclass's post-init hook, the name under which
-        # bench/tracing.py times the check
+        # the check of n and the edges; Graph is no longer a dataclass, but
+        # the hook keeps its name, the one bench/tracing.py times it under
         n = self.n
         if type(n) is not int:
             raise ValueError(f"vertex count {n!r} is a {type(n).__name__}, not an int")
@@ -79,6 +81,12 @@ class Graph:
             pairs = _normalized(n, zip(us, vs) if pairs is None else pairs)
             us, vs = _columns(pairs)
         vars(self).update(_us=us, _vs=vs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Graph attribute {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete Graph attribute {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -193,8 +201,7 @@ def _graph_unchecked(n: int, us: tuple, vs: tuple,
     return g
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Degree-class decomposition of a graph.
 
     d, D are the minimum and maximum degree.  class_sizes[i] counts the
@@ -465,8 +472,7 @@ def _unite(parent: list[int] | array, pairs: Iterable[tuple[int, int]],
     return made
 
 
-@dataclass(frozen=True)
-class BiregularCertificate:
+class BiregularCertificate(NamedTuple):
     """Witness that a graph is (a, b)-biregular: a two-coloring whose first
     part is uniformly degree a and second uniformly degree b, a <= b."""
 

@@ -11,8 +11,8 @@ histogram.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, repeat
+from typing import NamedTuple
 
 from .graphs import Graph
 
@@ -22,8 +22,7 @@ from .graphs import Graph
 IDENTITY_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class RandicValue:
+class RandicValue(NamedTuple):
     """Computed index plus the exact degree-pair multiset behind it.
 
     pair_counts maps (i, j) with i <= j to the number of edges whose

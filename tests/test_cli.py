@@ -416,11 +416,14 @@ def test_jobs_default_from_env(monkeypatch):
 
 def test_import_leaves_multiprocessing_unloaded():
     # the pool is imported only by a run that starts one, so bounds,
-    # compute, construct and a verify or scan at n <= 6 never pay for it
+    # compute, construct and a verify or scan at n <= 6 never pay for it;
+    # the records are NamedTuples, so no run pays for dataclasses either,
+    # whose frozen classes each build six methods with exec at import
     env = {**os.environ,
            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     code = ("import sys, randic.cli; print(sorted("
-            "m for m in sys.modules if m.startswith('multiprocessing')))")
+            "m for m in sys.modules if m.startswith('multiprocessing')"
+            " or m == 'dataclasses'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out == "[]\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import multiprocessing
@@ -447,7 +446,7 @@ def _inject(monkeypatch, faults):
 
     def offset_direct(g):
         rv = direct(g)
-        return dataclasses.replace(rv, value=rv.value + faults.offset(g.pair_counts))
+        return rv._replace(value=rv.value + faults.offset(g.pair_counts))
 
     monkeypatch.setattr(randic.bounds, "randic_direct", offset_direct)
     monkeypatch.setattr(randic.bounds, "_lower_sign", lambda pairs, d, D: (
