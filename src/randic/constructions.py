@@ -106,7 +106,9 @@ def build_degree_chain(d: int, D: int) -> Graph:
         if i == d and d == 1:
             blk, deficient = Graph(1, ()), [0]
         elif i == d or i == D:
-            blk, deficient = _end_with_deficient(i)
+            # the complement drops the path 0-1-2 and a matching, so only
+            # vertex 1 loses two edges: it alone has degree i - 1
+            blk, deficient = build_end_block(i), [1]
         else:
             blk = build_mid_block(i)
             deficient = [0, 1]
@@ -118,12 +120,6 @@ def build_degree_chain(d: int, D: int) -> Graph:
         prev_out = offset + deficient[-1]
         offset += blk.n
     return Graph(offset, tuple(edges))
-
-
-def _end_with_deficient(i: int) -> tuple[Graph, list[int]]:
-    blk = build_end_block(i)
-    deg = blk.degrees
-    return blk, [v for v in range(blk.n) if deg[v] == i - 1]
 
 
 def degree_chain_certificate(g: Graph) -> Optional[DegreeChainCertificate]:

@@ -23,15 +23,16 @@ degree vector, where mult runs over the multiplicities of its degree values.
 A key's weights sum to its labeled graph count: n = 8 has 252,522,481
 graphs with no isolated vertex, 585,786 degree-sorted ones and 4,860 keys.
 
-Both folds build a ``Graph`` only for a key's first degree-sorted graph in
-enumeration order (and, in the scan, for a graph that reaches or ties its
-class's running extreme), merge the partitions' keys by (n, key) and
-evaluate each key once for the whole run, weighting each outcome by the
-key's labeled graph count; both read a key's index, bounds, their exact
-signs and equality certificates off one ``bounds_report`` of its first
-graph, which is also a failing check's counterexample.  The scan's
-witnesses are each class's least (R, graph6) and (-R, graph6) pairs over
-its degree-sorted graphs.
+Verify and the scan share one partition walk, ``_partition``, and one
+driver, ``_fold``.  A partition builds a ``Graph`` only for a key's first
+degree-sorted graph in enumeration order (and, for the scan, for a graph
+that reaches or ties its class's running extreme); the driver merges the
+partitions' keys by (n, key), and the caller evaluates each key once for the
+whole run, weighting each outcome by the key's labeled graph count.  Both
+read a key's index, bounds, their exact signs and equality certificates off
+one ``bounds_report`` of its first graph, which is also a failing check's
+counterexample.  The scan's witnesses are each class's least (R, graph6) and
+(-R, graph6) pairs over its degree-sorted graphs.
 
 The walk can be partitioned by fixing the first k edge bits; partitions are
 processed independently, their key counts summed and their witness pairs
@@ -255,35 +256,28 @@ def _run(fn, tasks: list[tuple], jobs: int) -> list:
     return results
 
 
-def _merge_keys(tasks: list[tuple], parts: list[dict]) -> dict[tuple[int, int], list]:
-    """(n, walk key) -> [first graph, graph count], merged from each task's
-    {walk key: [first graph, graph count]}; every task starts with its n.
-    Tasks run in enumeration order, so each key keeps its first graph and
-    the keys stay in order of first appearance."""
-    keyed: dict[tuple[int, int], list] = {}
-    for task, part in zip(tasks, parts):
-        for key, (g, graphs) in part.items():
-            keyed.setdefault((task[0], key), [g, 0])[1] += graphs
-    return keyed
-
-
-def _scan_partition(n: int, connected_only: bool,
-                    prefix: tuple[int, ...]) -> tuple[dict, dict]:
+def _partition(n: int, connected: Optional[bool], witnesses: bool,
+               prefix: tuple[int, ...]) -> tuple[dict, dict]:
     """({walk key: [first graph, graph count]}, {(d, D): [least (R, graph6),
-    least (-R, graph6)]}) over the partition's graphs with d < D."""
+    least (-R, graph6)]}) over the partition's degree-sorted graphs with no
+    isolated vertex; the second holds each class with d < D, and only when
+    ``witnesses`` is true."""
     # walk key -> [first graph, graph count, R, its class's extremes], where
-    # the extremes are None for a regular key, which belongs to no class
+    # R and the extremes are None for a regular key, which belongs to no
+    # class, and for every key when no witnesses are wanted
     keyed: dict[int, list] = {}
     extremes: dict[tuple[int, int], list] = {}
-    for edges, deg, key, weight in _walk(n, connected_only or None, 1, None,
-                                         prefix, ordered=True):
+    for edges, deg, key, weight in _walk(n, connected, 1, None, prefix,
+                                         ordered=True):
         g = None
         entry = keyed.get(key)
         if entry is None:
             g = _graph_unchecked(n, *_columns(sorted(edges)), deg)
+            entry = keyed[key] = [g, 0, None, None]
             d, D = g.degree_range
-            ext = None if d == D else extremes.setdefault((d, D), [(math.inf, "")] * 2)
-            entry = keyed[key] = [g, 0, randic_direct(g).value, ext]
+            if witnesses and d < D:
+                entry[2:] = (randic_direct(g).value,
+                             extremes.setdefault((d, D), [(math.inf, "")] * 2))
         entry[1] += weight
         _, _, value, ext = entry
         # a graph is built and canonical_graph6 run only on a new or tied extreme
@@ -292,8 +286,7 @@ def _scan_partition(n: int, connected_only: bool,
                 g or _graph_unchecked(n, *_columns(sorted(edges)), deg))
             ext[0] = min(ext[0], (value, c6))
             ext[1] = min(ext[1], (-value, c6))
-    return ({key: entry[:2] for key, entry in keyed.items()
-             if entry[3] is not None}, extremes)
+    return {key: entry[:2] for key, entry in keyed.items()}, extremes
 
 
 def _cap_jobs(jobs: int) -> int:
@@ -316,27 +309,44 @@ def _prefix_tasks(n: int, jobs: int) -> list[tuple[int, ...]]:
             for idx in range(2 ** k)]
 
 
+def _fold(n_max: int, jobs: int, connected: Optional[bool],
+          witnesses: bool) -> tuple[dict, dict]:
+    """Walk every n in [2, n_max], split for up to ``jobs`` workers, and
+    merge the partitions: (n, walk key) -> [first graph, graph count], and
+    (n, d, D) -> [least (R, graph6), least (-R, graph6)] for each class with
+    d < D when ``witnesses`` is true.  Tasks run in enumeration order, so
+    each key keeps its first graph and the keys stay in order of first
+    appearance."""
+    if not 1 <= n_max <= MAX_VERTICES:
+        raise ValueError(f"n_max must be in [1, {MAX_VERTICES}], got {n_max}")
+    jobs = _cap_jobs(jobs)
+    tasks = [(n, connected, witnesses, prefix) for n in range(2, n_max + 1)
+             for prefix in _prefix_tasks(n, jobs)]
+    keyed: dict[tuple[int, int], list] = {}
+    extremes: dict[tuple[int, int, int], list] = {}
+    for (n, *_), (keys, part) in zip(tasks, _run(_partition, tasks, jobs)):
+        for key, (g, graphs) in keys.items():
+            keyed.setdefault((n, key), [g, 0])[1] += graphs
+        for (d, D), (low, high) in part.items():
+            ext = extremes.setdefault((n, d, D), [low, high])
+            ext[0], ext[1] = min(ext[0], low), min(ext[1], high)
+    return keyed, extremes
+
+
 def extremal_scan(n_max: int, connected_only: bool = False,
                   jobs: int = 1) -> list[EnumerationSummary]:
     """Scan all classes (n, d, D) with d < D for n <= n_max and report
     per-class extremal statistics.  Violation counts must come back zero."""
-    if not 1 <= n_max <= MAX_VERTICES:
-        raise ValueError(f"n_max must be in [1, {MAX_VERTICES}], got {n_max}")
-    jobs = _cap_jobs(jobs)
-    tasks = [(n, connected_only, prefix) for n in range(2, n_max + 1)
-             for prefix in _prefix_tasks(n, jobs)]
-    parts = _run(_scan_partition, tasks, jobs)
-    extremes: dict[tuple[int, int, int], list] = {}
-    for (n, _, _), (_, part) in zip(tasks, parts):
-        for (d, D), (low, high) in part.items():
-            ext = extremes.setdefault((n, d, D), [low, high])
-            ext[0], ext[1] = min(ext[0], low), min(ext[1], high)
+    keyed, extremes = _fold(n_max, jobs, connected_only or None, True)
     # (n, d, D) -> [graphs, lower and upper violations, lower and upper
     # equality witnesses], from one report per key for the whole run
     counts = {cls: [0] * 5 for cls in extremes}
-    for (n, _), (g, graphs) in _merge_keys(tasks, [k for k, _ in parts]).items():
+    for (n, _), (g, graphs) in keyed.items():
+        d, D = g.degree_range
+        if d == D:
+            continue
         r = bounds_report(g)
-        c = counts[n, r.d, r.D]
+        c = counts[n, d, D]
         c[0] += graphs
         if r.lower_sign < 0:
             c[1] += graphs
@@ -415,19 +425,6 @@ def _graph_checks(g: Graph) -> Iterator[tuple[str, bool]]:
         yield "upper-equality", (r.upper_sign == 0) != (r.upper_equality is not None)
 
 
-def _verify_partition(n: int, prefix: tuple[int, ...]) -> dict[int, list]:
-    """walk key -> [first degree-sorted graph in enumeration order, labeled
-    graph count]."""
-    keyed: dict[int, list] = {}
-    for edges, deg, key, weight in _walk(n, None, 1, None, prefix, ordered=True):
-        entry = keyed.get(key)
-        if entry is None:
-            keyed[key] = [_graph_unchecked(n, *_columns(sorted(edges)), deg), weight]
-        else:
-            entry[1] += weight
-    return keyed
-
-
 def chain_grid_check(max_degree: int = 9) -> CheckResult:
     """Verify the chain construction on every odd pair d < D <= max_degree:
     the built graph is connected, has degree range exactly [d, D], carries a
@@ -482,12 +479,7 @@ def verify_theorems(n_max: int, jobs: int = 1) -> VerificationReport:
     """Run every per-graph check over all enumerated graphs with no isolated
     vertices and 2 <= n <= n_max, plus the chain-grid and gap-positivity
     batches.  A clean run reports zero failures everywhere."""
-    if not 1 <= n_max <= MAX_VERTICES:
-        raise ValueError(f"n_max must be in [1, {MAX_VERTICES}], got {n_max}")
-    jobs = _cap_jobs(jobs)
-    tasks = [(n, prefix) for n in range(2, n_max + 1)
-             for prefix in _prefix_tasks(n, jobs)]
-    keyed = _merge_keys(tasks, _run(_verify_partition, tasks, jobs))
+    keyed, _ = _fold(n_max, jobs, None, False)
     counts = {name: [0, 0, None] for name in _CHECK_NAMES}
     # the first failing key's first graph is the first failing degree-sorted graph
     for g, graphs in keyed.values():

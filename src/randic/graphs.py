@@ -41,8 +41,8 @@ class Graph:
     is accepted; edges are normalized to ``(min, max)`` and sorted.
     Self-loops, duplicates, out-of-range labels and an ``n`` or label that
     is not an ``int`` are rejected, a ``bool`` too: ``format_edge_list``
-    would write it as "True" or "False".  Int pairs already in that form,
-    and columns, are checked in bulk.
+    would write it as "True" or "False".  Columns, which only the edge-list
+    parser passes, are checked in bulk and must already be in that form.
 
     ``edges``, the sorted tuple of pairs, is built on first use: the columns
     are the one copy of the edges, and the readers in this package read
@@ -69,17 +69,13 @@ class Graph:
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         if isinstance(edges, _Columns):
-            pairs = None
+            # only the edge-list parser passes columns, and it reads a
+            # refusal as "parse line by line", which names the fault
             us, vs = edges
+            if not _is_canonical(n, us, vs):
+                raise ValueError("edge columns are not canonical")
         else:
-            pairs = tuple(edges)
-            us = vs = None
-            if ({*map(type, pairs)} <= {tuple} and {*map(len, pairs)} <= {2}
-                    and {*map(type, chain.from_iterable(pairs))} <= {int}):
-                us, vs = _columns(pairs)
-        if us is None or not _is_canonical(n, us, vs):
-            pairs = _normalized(n, zip(us, vs) if pairs is None else pairs)
-            us, vs = _columns(pairs)
+            us, vs = _columns(_normalized(n, edges))
         vars(self).update(_us=us, _vs=vs)
 
     def __setattr__(self, name, value):
@@ -166,7 +162,7 @@ def _is_canonical(n: int, us, vs) -> bool:
 
 
 def _normalized(n: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
-    # the per-edge check, for pairs not already canonical: each type-checked,
+    # the per-edge check of the pairs Graph is given: each type-checked,
     # normalized to (min, max) and range-checked in order, then sorted and
     # searched for duplicates
     norm = []
@@ -288,8 +284,8 @@ def _parse_edge_list_bulk(text: str) -> Optional[Graph]:
                        array("q", map(mod, keys, repeat(n))))
     del keys
     try:
-        # Graph's bulk check finds a self-loop as u == v and a duplicate as
-        # two equal neighbours
+        # Graph's check of the columns finds a self-loop as u == v and a
+        # duplicate as two equal neighbours
         g = Graph(n, columns)
     except ValueError:
         return None

@@ -288,6 +288,19 @@ def test_verify_worker_count_invariance():
     assert verify_theorems(5, jobs=1) == verify_theorems(5, jobs=3)
 
 
+@pytest.mark.parametrize("n_max, jobs", [(n, 1) for n in range(2, 7)] + [(7, 2)])
+def test_verify_and_scan_count_the_same_graphs(n_max, jobs):
+    # the bound checks cover every graph with d < D, the upper one only the
+    # connected ones, and so do the scan's classes and its connected classes
+    checked = {c.name: c.checked for c in verify_theorems(n_max, jobs=jobs).checks}
+    for name, connected_only in (("lower-bound", False), ("upper-bound", True)):
+        scan = extremal_scan(n_max, connected_only=connected_only, jobs=jobs)
+        assert checked[name] == sum(s.class_count for s in scan)
+    if n_max >= 6:
+        assert (checked["lower-bound"], checked["upper-bound"]) == {
+            6: (28070, 27310), 7: (1914423, 1892740)}[n_max]
+
+
 def _record_pools(monkeypatch, cpus):
     """Let this process run on ``cpus`` CPUs and replace multiprocessing.Pool
     by a stand-in that runs its tasks inline, in the order it receives them,

@@ -55,8 +55,8 @@ def test_graph_rejects_invalid(n, edges, message):
 
 def oracle_graph_edges(n, edges):
     """The edges Graph's per-edge loop makes of its input, or the type and
-    message of what it raises; kept as the oracle of the bulk check that
-    takes input already in canonical form."""
+    message of what it raises; kept as the oracle of Graph's check of the
+    pairs it is given."""
     try:
         if type(n) is not int:
             raise ValueError(f"vertex count {n!r} is a {type(n).__name__}, "
