@@ -17,7 +17,7 @@ from math import gcd
 from operator import ne
 from typing import NamedTuple, Optional
 
-from .graphs import Graph
+from .graphs import Graph, _positive_degrees
 
 
 class DegreeChainCertificate(NamedTuple):
@@ -131,11 +131,7 @@ def degree_chain_certificate(g: Graph) -> Optional[DegreeChainCertificate]:
     each i in [d, D-1], exactly one edge joins the degree-i class to the
     degree-(i+1) class.
     """
-    if g.n == 0:
-        raise ValueError("membership undefined for the empty graph")
-    # n > 2m leaves a vertex with no edge: refused before anything n-sized
-    if g.n > 2 * g.m or g.degree_range[0] == 0:
-        raise ValueError("isolated vertex present (all degrees must be positive)")
+    _positive_degrees(g, "membership")
     d, D = g.degree_range
     if d == D:
         raise ValueError("membership defined only for d < D (graph is regular)")

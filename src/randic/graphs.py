@@ -14,8 +14,8 @@ from array import array
 from collections import Counter
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
-from operator import (add, and_, eq, floordiv, gt, itemgetter, lshift, lt,
-                      mod, mul, or_, rshift)
+from operator import (add, and_, eq, floordiv, gt, itemgetter, lshift, mod,
+                      mul, or_, rshift)
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -25,24 +25,26 @@ class GraphFormatError(ValueError):
 
 class _Columns(NamedTuple):
     """Edges handed to Graph as two columns, edge k being (us[k], vs[k]):
-    how the edge-list parser passes its sorted edges without a pair each."""
+    how the edge-list parsers pass the edges they checked as they read them,
+    0 <= u < v < n and sorted with no duplicate, which Graph keeps as given."""
 
-    us: array
-    vs: array
+    us: array | tuple
+    vs: array | tuple
 
 
 class Graph:
     """Immutable simple graph: vertex count plus its edges as two columns.
 
     Edge k is (``_us[k]``, ``_vs[k]``) with u < v, sorted by (u, v).  The
-    edge-list parser hands over int64 arrays, 8 bytes a label and no int
-    object each; other columns are tuples, which share the int objects of
-    the pairs or tables they were read from.  Any iterable of vertex pairs
-    is accepted; edges are normalized to ``(min, max)`` and sorted.
+    bulk edge-list parser hands over int64 arrays, 8 bytes a label and no
+    int object each; other columns are tuples, which share the int objects
+    of the pairs or tables they were read from.  Any iterable of vertex
+    pairs is accepted; edges are normalized to ``(min, max)`` and sorted.
     Self-loops, duplicates, out-of-range labels and an ``n`` or label that
     is not an ``int`` are rejected, a ``bool`` too: ``format_edge_list``
-    would write it as "True" or "False".  Columns, which only the edge-list
-    parser passes, are checked in bulk and must already be in that form.
+    would write it as "True" or "False".  ``_Columns``, which only the
+    edge-list parsers pass, were checked where they were read and are kept
+    as given.
 
     ``edges``, the sorted tuple of pairs, is built on first use: the columns
     are the one copy of the edges, and the readers in this package read
@@ -68,15 +70,9 @@ class Graph:
             raise ValueError(f"vertex count {n!r} is a {type(n).__name__}, not an int")
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        if isinstance(edges, _Columns):
-            # only the edge-list parser passes columns, and it reads a
-            # refusal as "parse line by line", which names the fault
-            us, vs = edges
-            if not _is_canonical(n, us, vs):
-                raise ValueError("edge columns are not canonical")
-        else:
-            us, vs = _columns(_normalized(n, edges))
-        vars(self).update(_us=us, _vs=vs)
+        if not isinstance(edges, _Columns):
+            edges = _columns(_normalized(n, edges))
+        vars(self).update(_us=edges[0], _vs=edges[1])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to Graph attribute {name!r}")
@@ -140,25 +136,21 @@ class Graph:
     def relabel(self, perm: Iterable[int]) -> "Graph":
         """Return the graph with vertex v renamed to perm[v]."""
         p = list(perm)
-        if sorted(p) != list(range(self.n)):
+        # a bool or float equal to its label would pass the sort test
+        if sorted(p) != list(range(self.n)) or {*map(type, p)} - {int}:
             raise ValueError("perm must be a permutation of 0..n-1")
-        return Graph(self.n, zip(map(p.__getitem__, self._us),
-                                 map(p.__getitem__, self._vs)))
+        # renaming the labels of a valid graph leaves no self-loop,
+        # duplicate or label out of range, so only the pairs' order and
+        # orientation are redone
+        at = p.__getitem__
+        return _graph_unchecked(self.n, *_columns(sorted(
+            [(u, v) if u < v else (v, u)
+             for u, v in zip(map(at, self._us), map(at, self._vs))])))
 
 
 def _columns(pairs) -> tuple[tuple, tuple]:
     # the first and the second label of every pair, as two tuples
     return tuple(map(itemgetter(0), pairs)), tuple(map(itemgetter(1), pairs))
-
-
-def _is_canonical(n: int, us, vs) -> bool:
-    # True when the columns are what Graph keeps: 0 <= u < v < n for every
-    # edge, in strictly increasing (u, v) order, so with no self-loop or
-    # duplicate; checked in C-level passes, no per-edge loop
-    if not us:
-        return True
-    return (us[0] >= 0 and max(vs) < n and all(map(lt, us, vs))
-            and all(map(lt, zip(us, vs), islice(zip(us, vs), 1, None))))
 
 
 def _normalized(n: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
@@ -187,9 +179,9 @@ def _normalized(n: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
 
 def _graph_unchecked(n: int, us: tuple, vs: tuple,
                      degrees: Optional[tuple[int, ...]] = None) -> Graph:
-    # Fast path for the enumerator and parse_graph6, whose columns are
-    # sorted and valid by construction; the degrees the enumerator already
-    # knows are seeded into their cache.
+    # Fast path for the enumerator, parse_graph6 and relabel, whose columns
+    # are sorted and valid by construction; the degrees the enumerator
+    # already knows are seeded into their cache.
     g = object.__new__(Graph)
     vars(g).update(n=n, _us=us, _vs=vs)
     if degrees is not None:
@@ -254,8 +246,8 @@ _EDGE_LIST_CHUNK = 1 << 20
 
 def _parse_edge_list_bulk(text: str) -> Optional[Graph]:
     # None refuses the text: a malformed line, a label int() or the int64
-    # buffer cannot hold, an out-of-range label, or a self-loop or duplicate
-    # edge, which Graph rejects
+    # buffer cannot hold, an out-of-range label, a self-loop or a duplicate
+    # edge; the checks here are the only ones, and Graph keeps the columns
     head = _EDGE_LIST_HEAD.match(text)
     if head is None or _EDGE_LIST_BAD_LINE.search(text, head.end()):
         return None
@@ -278,17 +270,16 @@ def _parse_edge_list_bulk(text: str) -> Optional[Graph]:
     # labels below n decode back into the two columns
     us, vs = labels[::2], labels[1::2]
     del labels
+    if any(map(eq, us, vs)):
+        return None
     keys = sorted(map(add, map(mul, map(min, us, vs), repeat(n)), map(max, us, vs)))
     del us, vs
-    columns = _Columns(array("q", map(floordiv, keys, repeat(n))),
-                       array("q", map(mod, keys, repeat(n))))
-    del keys
-    try:
-        # Graph's check of the columns finds a self-loop as u == v and a
-        # duplicate as two equal neighbours
-        g = Graph(n, columns)
-    except ValueError:
+    # a duplicate, in either orientation, is two equal neighbours
+    if any(map(eq, keys, islice(keys, 1, None))):
         return None
+    g = Graph(n, _Columns(array("q", map(floordiv, keys, repeat(n))),
+                          array("q", map(mod, keys, repeat(n)))))
+    del keys
     if n <= 2 * g.m:
         g.degrees  # counted here, so that a parsed graph has its degrees
     return g
@@ -338,7 +329,8 @@ def _parse_edge_list_lines(text: str) -> Graph:
         edges.append(key)
     if n is None:
         raise GraphFormatError("empty input: missing vertex count line")
-    return Graph(n, tuple(edges))
+    edges.sort()
+    return Graph(n, _Columns(*_columns(edges)))
 
 
 def format_edge_list(g: Graph) -> str:
@@ -408,20 +400,27 @@ def to_graph6(g: Graph) -> str:
         [_G6_BYTE[bits[t:t + 6]] for t in range(0, len(bits), 6)])
 
 
+def _positive_degrees(g: Graph, what: str) -> tuple[int, ...]:
+    """Return g's degrees, refusing the empty graph, for which ``what`` is
+    undefined, and a graph with an isolated vertex: the paper's bounds hold
+    for minimum degree at least 1, and their readers divide by degrees."""
+    if g.n == 0:
+        raise ValueError(f"{what} undefined for the empty graph")
+    # more than 2m vertices cannot all meet an edge: refused before any
+    # n-sized array is built, which a count such as 10**12 could not hold
+    if g.n > 2 * g.m or g.degree_range[0] == 0:
+        raise ValueError("isolated vertex present (all degrees must be positive)")
+    return g.degrees
+
+
 def degree_profile(g: Graph) -> DegreeProfile:
     """Compute the degree-class decomposition (class sizes and cross counts).
 
     Rejects graphs with an isolated vertex: every quantity downstream
     divides by a degree.
     """
-    if g.n == 0:
-        raise ValueError("degree profile undefined for the empty graph")
-    # more than 2m vertices cannot all meet an edge: refused before any
-    # n-sized array is built
-    if g.n > 2 * g.m or g.degree_range[0] == 0:
-        raise ValueError("isolated vertex present (minimum degree must be positive)")
+    deg = _positive_degrees(g, "degree profile")
     d, D = g.degree_range
-    deg = g.degrees
     sizes = {i: 0 for i in range(d, D + 1)}
     for x in deg:
         sizes[x] += 1

@@ -14,7 +14,7 @@ import math
 from itertools import chain, repeat
 from typing import NamedTuple
 
-from .graphs import Graph
+from .graphs import Graph, _positive_degrees
 
 #: Tolerance for the float-vs-float checks of identities that hold exactly in
 #: real arithmetic (both index forms, the decomposition, the chain closed
@@ -34,19 +34,9 @@ class RandicValue(NamedTuple):
     pair_counts: dict[tuple[int, int], int]
 
 
-def _checked_degrees(g: Graph) -> tuple[int, ...]:
-    if g.n == 0:
-        raise ValueError("Randic index undefined for the empty graph")
-    # the m edges reach at most 2m vertices; this test needs no n-sized
-    # degree array, which a vertex count such as 10**12 could not hold
-    if g.n > 2 * g.m or g.degree_range[0] == 0:
-        raise ValueError("isolated vertex present (all degrees must be positive)")
-    return g.degrees
-
-
 def randic_direct(g: Graph) -> RandicValue:
     """Sum 1/sqrt(d(u)*d(v)) over all edges uv."""
-    _checked_degrees(g)
+    _positive_degrees(g, "Randic index")
     counts = g.pair_counts
     value = math.fsum(c / math.sqrt(i * j) for (i, j), c in counts.items())
     return RandicValue(value=value, pair_counts=dict(counts))
@@ -55,7 +45,7 @@ def randic_direct(g: Graph) -> RandicValue:
 def randic_deviation(g: Graph) -> float:
     """Evaluate the index as n/2 minus half the summed squared differences
     of reciprocal root degrees over edges (zero exactly on regular graphs)."""
-    _checked_degrees(g)
+    _positive_degrees(g, "Randic index")
     # an edge's term depends only on its endpoint degrees {i, j}, so each
     # degree pair adds its term once per edge; fsum rounds the exact sum,
     # whatever the order of its terms

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from randic import (Graph, GraphFormatError, biregular_certificate,
                     bounds_report, degree_chain_certificate, degree_multiset,
                     degree_profile, format_edge_list, is_connected,
-                    parse_edge_list, parse_graph6, randic_direct, to_graph6)
+                    parse_edge_list, parse_graph6, randic_deviation,
+                    randic_direct, to_graph6)
+from randic.graphs import _EDGE_LIST_CHUNK, _parse_edge_list_bulk
 
 from conftest import (_naive_connected, bfs_two_coloring, complete,
                       complete_bipartite, cycle, disjoint_union, naive_graphs,
@@ -154,6 +156,31 @@ def test_relabel_roundtrip():
     assert h.relabel([1, 2, 3, 0]) == g
     with pytest.raises(ValueError):
         g.relabel([0, 0, 1, 2])
+
+
+def test_relabel_matches_the_checked_constructor():
+    # relabel skips Graph's per-edge check; the checked constructor on the
+    # renamed pairs is its oracle, for tuple and int64-array columns alike
+    rng = random.Random(1645)
+    for trial in range(300):
+        n = rng.randint(0, 40)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n))))
+        if trial % 2 and g.m:
+            g = parse_edge_list(format_edge_list(g))
+        p = list(range(n))
+        rng.shuffle(p)
+        h = g.relabel(p)
+        want = Graph(n, [(p[u], p[v]) for u, v in g.edges])
+        assert h == want and hash(h) == hash(want) and repr(h) == repr(want)
+        assert h.degrees == want.degrees
+        assert (h._us, h._vs) == (want._us, want._vs)
+        assert type(h._us) is type(h._vs) is tuple
+        assert list(zip(h._us, h._vs)) == sorted(zip(h._us, h._vs))
+    g = Graph(2, ((0, 1),))
+    for perm in ([0], [0, 2], [1, 1], [0, 1, 2], [True, False], [1.0, 0]):
+        with pytest.raises(ValueError, match="perm must be a permutation"):
+            g.relabel(perm)
 
 
 # ── Edge-list format ──────────────────────────────────────────────────
@@ -364,6 +391,25 @@ def test_parse_edge_list_errors_match_oracle_random(faults):
 ])
 def test_parse_edge_list_edge_cases_match_oracle(text):
     assert _outcome(parse_edge_list, text) == _outcome(oracle_parse_edge_list, text)
+
+
+def test_bulk_parse_refuses_faults_past_the_first_chunk():
+    # a 150,000-edge path, about 2 MB: the labels are read in 1 MiB chunks,
+    # and a fault in a later chunk must still send the text line by line
+    m = 150_000
+    lines = ["%d" % (m + 1)] + [f"{k} {k + 1}" for k in range(m)]
+    text = "\n".join(lines) + "\n"
+    g = parse_edge_list(text)
+    assert g == Graph(m + 1, [(k, k + 1) for k in range(m)])
+    assert "degrees" in vars(g)  # the bulk pass took the clean text
+    at = 120_000
+    assert len("\n".join(lines[:at])) > _EDGE_LIST_CHUNK
+    for fault in ("7 7", lines[5], "6 5"):  # self-loop, duplicate, reversed
+        bad = "\n".join(lines[:at] + [fault] + lines[at:]) + "\n"
+        assert _parse_edge_list_bulk(bad) is None
+        message = _outcome(parse_edge_list, bad)
+        assert message.startswith(f"line {at + 1}: ")
+        assert message == _outcome(oracle_parse_edge_list, bad)
 
 
 def test_parse_edge_list_seeds_no_degrees_with_an_isolated_vertex():
@@ -682,12 +728,11 @@ def test_more_vertices_than_twice_the_edges_allocate_nothing_n_sized(g):
     # which these vertex counts could not hold
     assert not is_connected(g)
     assert biregular_certificate(g) is None
-    with pytest.raises(ValueError, match="isolated vertex present "
-                                         r"\(minimum degree must be positive\)"):
-        degree_profile(g)
-    with pytest.raises(ValueError, match="isolated vertex present "
-                                         r"\(all degrees must be positive\)"):
-        degree_chain_certificate(g)
+    for refuse in (degree_profile, degree_chain_certificate, randic_direct,
+                   randic_deviation):
+        with pytest.raises(ValueError, match="isolated vertex present "
+                                             r"\(all degrees must be positive\)"):
+            refuse(g)
     assert "degrees" not in g.__dict__
 
 
