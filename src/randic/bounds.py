@@ -181,12 +181,9 @@ class BoundsReport(NamedTuple):
         }
         if self.upper_bound_omitted is not None:
             doc["upperBoundOmitted"] = self.upper_bound_omitted
-        doc["lowerEquality"] = (
-            None if self.lower_equality is None else {
-                "a": self.lower_equality.a,
-                "b": self.lower_equality.b,
-                "parts": [list(p) for p in self.lower_equality.parts],
-            })
+        cert = self.lower_equality
+        doc["lowerEquality"] = None if cert is None else {
+            **cert._asdict(), "parts": [list(p) for p in cert.parts]}
         doc["upperEquality"] = (
             None if self.upper_equality is None else {
                 "d": self.upper_equality.d,

@@ -35,6 +35,16 @@ def _fmt(x: float) -> str:
     return format(x, ".15g")
 
 
+def _cell(x) -> str:
+    """A CSV or text cell: reals at 15 significant digits, flags as 0/1 and
+    None as empty."""
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return _fmt(x)
+    return str(int(x) if isinstance(x, bool) else x)
+
+
 def _json_ready(obj):
     """Round floats to 15 significant digits so JSON output is stable."""
     if isinstance(obj, float):
@@ -76,10 +86,6 @@ def _read_graphs(path: str, fmt: str,
             yield g, value
 
 
-def _pairs_text(counts: dict[tuple[int, int], int]) -> str:
-    return ";".join(f"({i},{j})x{c}" for (i, j), c in sorted(counts.items()))
-
-
 def cmd_compute(args) -> int:
     writer = None
     for g, rv in _read_graphs(args.input, args.format, randic_direct):
@@ -91,22 +97,21 @@ def cmd_compute(args) -> int:
         if residual > tolerance:
             print(f"warning: identity residual {residual:.3g} exceeds "
                   f"tolerance {tolerance:.3g}", file=sys.stderr)
+        pairs = sorted(rv.pair_counts.items())
+        row = {"n": g.n, "m": g.m, "randic": rv.value, "deviation": dev,
+               "residual": residual,
+               "pairs": [[i, j, c] for (i, j), c in pairs]}
         if args.json:
-            print(_dump_json({
-                "n": g.n, "m": g.m,
-                "randic": rv.value, "deviation": dev, "residual": residual,
-                "pairs": [[i, j, c] for (i, j), c in sorted(rv.pair_counts.items())],
-            }))
-        elif args.csv:
+            print(_dump_json(row))
+            continue
+        row["pairs"] = ";".join(f"({i},{j})x{c}" for (i, j), c in pairs)
+        if args.csv:
             if writer is None:
                 writer = csv.writer(sys.stdout, lineterminator="\n")
-                writer.writerow(["n", "m", "randic", "deviation", "residual", "pairs"])
-            writer.writerow([g.n, g.m, _fmt(rv.value), _fmt(dev),
-                             _fmt(residual), _pairs_text(rv.pair_counts)])
+                writer.writerow(row.keys())
+            writer.writerow(map(_cell, row.values()))
         else:
-            print(f"n={g.n} m={g.m} randic={_fmt(rv.value)} "
-                  f"deviation={_fmt(dev)} residual={_fmt(residual)} "
-                  f"pairs={_pairs_text(rv.pair_counts)}")
+            print(" ".join(f"{k}={_cell(v)}" for k, v in row.items()))
     return EXIT_OK
 
 
@@ -122,21 +127,16 @@ def cmd_bounds(args) -> int:
         if args.json:
             print(_dump_json(report.to_json_dict()))
         elif args.csv:
+            # the JSON row, less the omission reason, with each certificate
+            # as a flag
+            row = report.to_json_dict()
+            row.pop("upperBoundOmitted", None)
+            for key in ("lowerEquality", "upperEquality"):
+                row[key] = row[key] is not None
             if writer is None:
                 writer = csv.writer(sys.stdout, lineterminator="\n")
-                writer.writerow(["n", "d", "D", "randic", "lowerBound",
-                                 "upperBound", "baseline", "lowerSlack",
-                                 "upperSlack", "regular", "connected",
-                                 "lowerEquality", "upperEquality"])
-            writer.writerow([
-                report.n, report.d, report.D, _fmt(report.randic),
-                _fmt(report.lower),
-                "" if report.upper is None else _fmt(report.upper),
-                _fmt(report.baseline), _fmt(report.lower_slack),
-                "" if report.upper_slack is None else _fmt(report.upper_slack),
-                int(report.regular), int(report.connected),
-                int(report.lower_equality is not None),
-                int(report.upper_equality is not None)])
+                writer.writerow(row.keys())
+            writer.writerow(map(_cell, row.values()))
         else:
             upper = ("omitted(disconnected)" if report.upper is None
                      else _fmt(report.upper))
@@ -212,8 +212,7 @@ def cmd_enumerate(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for s in summaries:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v
-                             for v in s.to_json_dict().values()])
+            writer.writerow(map(_cell, s))
     else:
         print(f"{'n':>2} {'d':>2} {'D':>2} {'count':>8} {'minR':>18} "
               f"{'maxR':>18} {'viol':>5} {'eq(lo/up)':>10}  argmin")

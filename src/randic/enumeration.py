@@ -203,6 +203,12 @@ def canonical_graph6(g: Graph) -> str:
     return to_graph6(g.relabel(perm))
 
 
+#: EnumerationSummary's JSON keys and CSV header, one per field in order.
+CSV_COLUMNS = ("n", "d", "D", "classCount", "minR", "maxR", "argmin", "argmax",
+               "lowerViolations", "upperViolations",
+               "lowerEqualityWitnesses", "upperEqualityWitnesses")
+
+
 class EnumerationSummary(NamedTuple):
     """Extremal statistics for one (n, d, D) class of enumerated graphs."""
 
@@ -220,21 +226,7 @@ class EnumerationSummary(NamedTuple):
     upper_equality_witnesses: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n, "d": self.d, "D": self.D,
-            "classCount": self.class_count,
-            "minR": self.min_randic, "maxR": self.max_randic,
-            "argmin": self.argmin_graph6, "argmax": self.argmax_graph6,
-            "lowerViolations": self.lower_violations,
-            "upperViolations": self.upper_violations,
-            "lowerEqualityWitnesses": self.lower_equality_witnesses,
-            "upperEqualityWitnesses": self.upper_equality_witnesses,
-        }
-
-
-CSV_COLUMNS = ("n", "d", "D", "classCount", "minR", "maxR", "argmin", "argmax",
-               "lowerViolations", "upperViolations",
-               "lowerEqualityWitnesses", "upperEqualityWitnesses")
+        return dict(zip(CSV_COLUMNS, self))
 
 
 def _run(fn, tasks: list[tuple], jobs: int) -> list:
@@ -291,7 +283,9 @@ def _partition(n: int, connected: Optional[bool], witnesses: bool,
 
 def _cap_jobs(jobs: int) -> int:
     """jobs, at most the CPUs this process may run on; more would only add
-    idle processes and prefix tasks."""
+    idle processes and prefix tasks.  Fewer than one job is refused."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     try:
         return min(jobs, len(os.sched_getaffinity(0)))
     except AttributeError:  # not on every platform
@@ -390,11 +384,7 @@ class VerificationReport(NamedTuple):
             "maxN": self.max_n,
             "graphs": self.graphs,
             "ok": self.ok,
-            "checks": [
-                {"name": c.name, "checked": c.checked, "failures": c.failures,
-                 "counterexample": c.counterexample}
-                for c in self.checks
-            ],
+            "checks": [c._asdict() for c in self.checks],
         }
 
 

@@ -414,6 +414,14 @@ def test_jobs_default_from_env(monkeypatch):
     assert args.jobs == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_one_exits_2(capsys, command, jobs):
+    code, out, err = run(capsys, [command, "--max-n", "3", "--jobs", jobs])
+    assert (code, out) == (2, "")
+    assert err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
 def test_import_leaves_multiprocessing_unloaded():
     # the pool is imported only by a run that starts one, so bounds,
     # compute, construct and a verify or scan at n <= 6 never pay for it;
@@ -433,3 +441,146 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["construct", "wedge", "1", "3"])
     assert exc.value.code == 2
+
+
+# ── output forms, byte for byte ───────────────────────────────────────
+
+# K1,3, C4 (regular) and a star beside a triangle (disconnected, so its
+# upper bound is omitted)
+MIXED_G6 = "Cs\nCl\nFs?GW\n"
+
+GOLDEN_OUTPUT = [
+    (["compute", "--format", "graph6"], MIXED_G6, (
+        "n=4 m=3 randic=1.73205080756888 deviation=1.73205080756888 "
+        "residual=0 pairs=(1,3)x3\n"
+        "n=4 m=4 randic=2 deviation=2 residual=0 pairs=(2,2)x4\n"
+        "n=7 m=6 randic=3.23205080756888 deviation=3.23205080756888 "
+        "residual=0 pairs=(1,3)x3;(2,2)x3\n"
+    )),
+    (["compute", "--format", "graph6", "--json"], MIXED_G6, (
+        '{"n": 4, "m": 3, "randic": 1.73205080756888, "deviation": '
+        '1.73205080756888, "residual": 0.0, "pairs": [[1, 3, 3]]}\n'
+        '{"n": 4, "m": 4, "randic": 2.0, "deviation": 2.0, '
+        '"residual": 0.0, "pairs": [[2, 2, 4]]}\n'
+        '{"n": 7, "m": 6, "randic": 3.23205080756888, "deviation": '
+        '3.23205080756888, "residual": 0.0, "pairs": [[1, 3, 3], [2, '
+        "2, 3]]}\n"
+    )),
+    (["compute", "--format", "graph6", "--csv"], MIXED_G6, (
+        "n,m,randic,deviation,residual,pairs\n"
+        '4,3,1.73205080756888,1.73205080756888,0,"(1,3)x3"\n'
+        '4,4,2,2,0,"(2,2)x4"\n'
+        '7,6,3.23205080756888,3.23205080756888,0,"(1,3)x3;(2,2)x3"\n'
+    )),
+    (["bounds", "--format", "graph6"], MIXED_G6, (
+        "n=4 d=1 D=3 randic=1.73205080756888 lower=1.73205080756888 "
+        "upper=1.94868840498374 baseline=1 "
+        "lowerSlack=2.22044604925031e-16 "
+        "upperSlack=0.216637597414866 lowerEquality=yes "
+        "upperEquality=no\n"
+        "n=4 d=2 D=2 randic=2 lower=2 upper=2 baseline=2 "
+        "lowerSlack=0 upperSlack=0 lowerEquality=yes "
+        "upperEquality=no regular\n"
+        "n=7 d=1 D=3 randic=3.23205080756888 lower=3.03108891324554 "
+        "upper=omitted(disconnected) baseline=1.75 "
+        "lowerSlack=0.200961894323342 upperSlack=- lowerEquality=no "
+        "upperEquality=no\n"
+    )),
+    (["bounds", "--format", "graph6", "--json"], MIXED_G6, (
+        '{"n": 4, "d": 1, "D": 3, "randic": 1.73205080756888, '
+        '"lowerBound": 1.73205080756888, "upperBound": '
+        '1.94868840498374, "baseline": 1.0, "lowerSlack": '
+        '2.22044604925031e-16, "upperSlack": 0.216637597414866, '
+        '"regular": false, "connected": true, "lowerEquality": {"a": '
+        '1, "b": 3, "parts": [[1, 2, 3], [0]]}, "upperEquality": '
+        "null}\n"
+        '{"n": 4, "d": 2, "D": 2, "randic": 2.0, "lowerBound": 2.0, '
+        '"upperBound": 2.0, "baseline": 2.0, "lowerSlack": 0.0, '
+        '"upperSlack": 0.0, "regular": true, "connected": true, '
+        '"lowerEquality": {"a": 2, "b": 2, "parts": [[0, 2], [1, '
+        '3]]}, "upperEquality": null}\n'
+        '{"n": 7, "d": 1, "D": 3, "randic": 3.23205080756888, '
+        '"lowerBound": 3.03108891324554, "upperBound": null, '
+        '"baseline": 1.75, "lowerSlack": 0.200961894323342, '
+        '"upperSlack": null, "regular": false, "connected": false, '
+        '"upperBoundOmitted": "disconnected", "lowerEquality": null, '
+        '"upperEquality": null}\n'
+    )),
+    (["bounds", "--format", "graph6", "--csv"], MIXED_G6, (
+        "n,d,D,randic,lowerBound,upperBound,baseline,lowerSlack,"
+        "upperSlack,regular,connected,lowerEquality,upperEquality\n"
+        "4,1,3,1.73205080756888,1.73205080756888,1.94868840498374,1,"
+        "2.22044604925031e-16,0.216637597414866,0,1,1,0\n"
+        "4,2,2,2,2,2,2,0,0,1,1,1,0\n"
+        "7,1,3,3.23205080756888,3.03108891324554,,1.75,"
+        "0.200961894323342,,0,0,0,0\n"
+    )),
+    (["compute", "--format", "graph6", "--csv"], "", ""),
+    (["bounds", "--format", "graph6", "--csv"], "", ""),
+    (["enumerate", "--max-n", "4", "--connected"], None, (
+        " n  d  D    count               minR               maxR  "
+        "viol  eq(lo/up)  argmin\n"
+        " 3  1  2        3   1.41421356237309   1.41421356237309     "
+        "0    3/0     BW\n"
+        " 4  1  2       12   1.91421356237309   1.91421356237309     "
+        "0    0/0     CL\n"
+        " 4  1  3       16   1.73205080756888   1.89384685011735     "
+        "0    4/0     CF\n"
+        " 4  2  3        6   1.96632649518879   1.96632649518879     "
+        "0    0/0     C^\n"
+    )),
+    (["enumerate", "--max-n", "4", "--connected", "--json"], None, (
+        '{"n": 3, "d": 1, "D": 2, "classCount": 3, "minR": '
+        '1.41421356237309, "maxR": 1.41421356237309, "argmin": "BW", '
+        '"argmax": "BW", "lowerViolations": 0, "upperViolations": 0, '
+        '"lowerEqualityWitnesses": 3, "upperEqualityWitnesses": 0}\n'
+        '{"n": 4, "d": 1, "D": 2, "classCount": 12, "minR": '
+        '1.91421356237309, "maxR": 1.91421356237309, "argmin": "CL", '
+        '"argmax": "CL", "lowerViolations": 0, "upperViolations": 0, '
+        '"lowerEqualityWitnesses": 0, "upperEqualityWitnesses": 0}\n'
+        '{"n": 4, "d": 1, "D": 3, "classCount": 16, "minR": '
+        '1.73205080756888, "maxR": 1.89384685011735, "argmin": "CF", '
+        '"argmax": "CN", "lowerViolations": 0, "upperViolations": 0, '
+        '"lowerEqualityWitnesses": 4, "upperEqualityWitnesses": 0}\n'
+        '{"n": 4, "d": 2, "D": 3, "classCount": 6, "minR": '
+        '1.96632649518879, "maxR": 1.96632649518879, "argmin": "C^", '
+        '"argmax": "C^", "lowerViolations": 0, "upperViolations": 0, '
+        '"lowerEqualityWitnesses": 0, "upperEqualityWitnesses": 0}\n'
+    )),
+    (["enumerate", "--max-n", "4", "--connected", "--csv"], None, (
+        "n,d,D,classCount,minR,maxR,argmin,argmax,lowerViolations,"
+        "upperViolations,lowerEqualityWitnesses,"
+        "upperEqualityWitnesses\n"
+        "3,1,2,3,1.41421356237309,1.41421356237309,BW,BW,0,0,3,0\n"
+        "4,1,2,12,1.91421356237309,1.91421356237309,CL,CL,0,0,0,0\n"
+        "4,1,3,16,1.73205080756888,1.89384685011735,CF,CN,0,0,4,0\n"
+        "4,2,3,6,1.96632649518879,1.96632649518879,C^,C^,0,0,0,0\n"
+    )),
+    (["verify", "--max-n", "3", "--json"], None, (
+        '{"maxN": 3, "graphs": 5, "ok": true, "checks": [{"name": '
+        '"identity", "checked": 5, "failures": 0, "counterexample": '
+        'null}, {"name": "decomposition", "checked": 3, "failures": '
+        '0, "counterexample": null}, {"name": "lower-bound", '
+        '"checked": 3, "failures": 0, "counterexample": null}, '
+        '{"name": "lower-equality", "checked": 3, "failures": 0, '
+        '"counterexample": null}, {"name": "upper-bound", "checked": '
+        '3, "failures": 0, "counterexample": null}, {"name": '
+        '"upper-equality", "checked": 3, "failures": 0, '
+        '"counterexample": null}, {"name": "star-baseline", '
+        '"checked": 5, "failures": 0, "counterexample": null}, '
+        '{"name": "chain-grid", "checked": 10, "failures": 0, '
+        '"counterexample": null}, {"name": "gap-positivity", '
+        '"checked": 10000, "failures": 0, "counterexample": null}]}\n'
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, expected", GOLDEN_OUTPUT,
+    ids=[" ".join(argv) + (" <empty" if stdin == "" else "")
+         for argv, stdin, _ in GOLDEN_OUTPUT])
+def test_output_is_byte_exact(capsys, monkeypatch, argv, stdin, expected):
+    # the CSV header names the JSON keys; compute and bounds print no
+    # header for empty input, enumerate always prints one
+    code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out, err) == (0, expected, "")
