@@ -261,7 +261,7 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
 
 def _jobs_default() -> int:
     try:
-        return max(1, int(os.environ.get("RANDIC_JOBS", "1")))
+        return int(os.environ.get("RANDIC_JOBS", "1"))
     except ValueError:
         return 1
 

@@ -142,7 +142,7 @@ def test_criterion_8_gap_positivity(sweep):
     c = checks["gap-positivity"]
     assert c.checked == 10000 and c.failures == 0
     _passed("8 telescoping gap positive and equal to product form "
-            "(10000 random triples)")
+            "(10000 integer triples on a fixed grid)")
 
 
 def test_criterion_9a_graph6_roundtrip():

@@ -416,10 +416,13 @@ def test_jobs_default_from_env(monkeypatch):
 
 @pytest.mark.parametrize("command", ["verify", "enumerate"])
 @pytest.mark.parametrize("jobs", ["0", "-5"])
-def test_jobs_below_one_exits_2(capsys, command, jobs):
+def test_jobs_below_one_exits_2(capsys, monkeypatch, command, jobs):
     code, out, err = run(capsys, [command, "--max-n", "3", "--jobs", jobs])
     assert (code, out) == (2, "")
     assert err == f"error: jobs must be at least 1, got {jobs}\n"
+    # the same value from the environment is refused the same way
+    monkeypatch.setenv("RANDIC_JOBS", jobs)
+    assert run(capsys, [command, "--max-n", "3"]) == (code, out, err)
 
 
 def test_import_leaves_multiprocessing_unloaded():

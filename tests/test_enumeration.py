@@ -394,8 +394,37 @@ def test_chain_grid_check_clean():
 
 
 def test_gap_positivity_check_clean():
-    result = gap_positivity_check(samples=2000)
-    assert result.checked == 2000 and result.failures == 0
+    result = gap_positivity_check()
+    assert result.checked == 10000 and result.failures == 0
+
+
+def test_gap_positivity_check_reads_the_integer_grid(monkeypatch):
+    gap = randic.enumeration.telescope_gap
+    seen = []
+
+    def record(*triple):
+        seen.append(triple)
+        return gap(*triple)
+
+    monkeypatch.setattr(randic.enumeration, "telescope_gap", record)
+    assert gap_positivity_check().failures == 0
+    assert len(seen) == len(set(seen)) == 10000
+    assert all(type(v) is int for triple in seen for v in triple)
+    assert all(1 <= x < y < z <= 99 for x, y, z in seen)
+
+    def failures_with(wrong):
+        # the first triple's gap replaced by wrong(gap), every other kept
+        monkeypatch.setattr(
+            randic.enumeration, "telescope_gap",
+            lambda *t: wrong(gap(*t)) if t == seen[0] else gap(*t))
+        return gap_positivity_check().failures
+
+    assert failures_with(lambda g: -1.0) == 1
+    # positive, but off its product form by more than the tolerance
+    assert failures_with(lambda g: g + 1e-9) == 1
+    # zero, with the product-form comparison switched off
+    monkeypatch.setattr(randic.enumeration, "IDENTITY_TOLERANCE", math.inf)
+    assert failures_with(lambda g: 0.0) == 1
 
 
 # ── Keyed evaluation against direct per-graph evaluation ──────────────
