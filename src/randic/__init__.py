@@ -16,8 +16,8 @@ from .graphs import (BiregularCertificate, DegreeProfile, Graph,
                      GraphFormatError, biregular_certificate, degree_multiset,
                      degree_profile, format_edge_list, is_connected,
                      parse_edge_list, parse_graph6, to_graph6)
-from .index import (IDENTITY_TOLERANCE, RandicValue, identity_residual,
-                    randic_deviation, randic_direct)
+from .index import (IDENTITY_TOLERANCE, RandicValue, randic_deviation,
+                    randic_direct)
 
 __version__ = "0.1.0"
 
@@ -30,8 +30,7 @@ __all__ = [
     "build_mid_block", "canonical_graph6", "chain_grid_check",
     "decomposition_residual", "degree_chain_certificate", "degree_multiset",
     "degree_profile", "enumerate_graphs", "extremal_scan", "format_edge_list",
-    "gap_positivity_check", "identity_residual", "is_connected",
-    "lower_bound", "parse_edge_list", "parse_graph6", "randic_deviation",
-    "randic_direct", "telescope_gap", "to_graph6", "upper_bound",
-    "verify_theorems",
+    "gap_positivity_check", "is_connected", "lower_bound",
+    "parse_edge_list", "parse_graph6", "randic_deviation", "randic_direct",
+    "telescope_gap", "to_graph6", "upper_bound", "verify_theorems",
 ]

@@ -1,11 +1,10 @@
 """Exhaustive enumeration of small graphs, extremal scans, and the batch
 verification harness.
 
-Generation walks the upper-triangle adjacency bits in graph6 order with two
-degree prunes: a branch that would push a vertex past the maximum degree is
-skipped, and a subtree is skipped as soon as some vertex cannot reach the
-minimum degree with its remaining undecided slots.  At each leaf the
-union-find of ``is_connected`` decides connectivity on the leaf's edges.
+Generation walks the upper-triangle adjacency bits in graph6 order and
+skips a subtree as soon as some vertex cannot reach the minimum degree with
+its remaining undecided slots.  At each leaf the union-find of
+``is_connected`` decides connectivity on the leaf's edges.
 ``enumerate_graphs`` is labeled (no isomorphism reduction) and is the oracle
 the tests compare against; a best-effort canonical relabeling is applied
 only to reported witness graphs.
@@ -71,17 +70,14 @@ _UNSPLIT_MAX_N = 6
 
 
 def enumerate_graphs(n: int, *, connected: Optional[bool] = None,
-                     min_degree: Optional[int] = None,
-                     max_degree: Optional[int] = None,
-                     prefix: tuple[int, ...] = ()) -> Iterator[Graph]:
-    """Yield every labeled simple graph on n vertices meeting the constraints,
-    exactly once, in a fixed order (two runs produce identical streams).
-
-    ``prefix`` pins the first len(prefix) adjacency bits, in graph6 order:
-    only the graphs with those bits are yielded.  Requires 1 <= n <=
-    MAX_VERTICES.
+                     min_degree: Optional[int] = None) -> Iterator[Graph]:
+    """Yield every labeled simple graph on n vertices, exactly once, in a
+    fixed order (two runs produce identical streams): only the connected
+    ones if ``connected`` is True, only the disconnected ones if False, and
+    only those with every degree at least ``min_degree`` when it is given.
+    Requires 1 <= n <= MAX_VERTICES.
     """
-    for edges, deg, _, _ in _walk(n, connected, min_degree, max_degree, prefix):
+    for edges, deg, _, _ in _walk(n, connected, min_degree, ()):
         yield _graph_unchecked(n, *_columns(sorted(edges)), deg)
 
 
@@ -97,10 +93,10 @@ def _relabelings(degrees: tuple[int, ...]) -> int:
 
 
 def _walk(n: int, connected: Optional[bool], min_degree: Optional[int],
-          max_degree: Optional[int], prefix: tuple[int, ...],
-          ordered: bool = False) -> Iterator[tuple]:
+          prefix: tuple[int, ...], ordered: bool = False) -> Iterator[tuple]:
     """The walk behind enumerate_graphs: (edges, degrees, key, weight) per
-    graph.
+    graph.  ``prefix`` pins the first len(prefix) adjacency bits, in graph6
+    order: only the graphs with those bits are walked.
 
     ``edges`` is the walk's own unsorted list, valid until the next item,
     and ``degrees`` a tuple.  ``key`` is one-to-one, for this n, with the
@@ -120,9 +116,8 @@ def _walk(n: int, connected: Optional[bool], min_degree: Optional[int],
     if len(prefix) > total or any(b not in (0, 1) for b in prefix):
         raise ValueError(f"prefix must be at most {total} bits of 0/1")
     lo = 0 if min_degree is None else min_degree
-    hi = n - 1 if max_degree is None else max_degree
-    if lo < 0 or hi < 0:
-        raise ValueError("degree constraints must be non-negative")
+    if lo < 0:
+        raise ValueError(f"min_degree must be non-negative, got {lo}")
     if lo > n - 1:
         return
     digit = [[0] * n for _ in range(n)]  # digit[i][j]: one unit of pair (i, j)
@@ -163,7 +158,7 @@ def _walk(n: int, connected: Optional[bool], min_degree: Optional[int],
         if bit != 1 and du + ru >= lo and dv + rv >= lo and not (ordered and (
                 du + ru < deg[u + 1] or dv + rv < deg[v + 1])):
             yield from rec(t + 1)
-        if bit != 0 and du < hi and dv < hi:
+        if bit != 0:
             deg[u] = du + 1
             deg[v] = dv + 1
             if not (ordered and (deg[u - 1] + rem[u - 1] <= du
@@ -255,8 +250,7 @@ def _partition(n: int, connected: Optional[bool], witnesses: bool,
     # class, and for every key when no witnesses are wanted
     keyed: dict[int, list] = {}
     extremes: dict[tuple[int, int], list] = {}
-    for edges, deg, key, weight in _walk(n, connected, 1, None, prefix,
-                                         ordered=True):
+    for edges, deg, key, weight in _walk(n, connected, 1, prefix, ordered=True):
         g = None
         entry = keyed.get(key)
         if entry is None:

@@ -53,8 +53,3 @@ def randic_deviation(g: Graph) -> float:
         repeat(0.5 * (1.0 / math.sqrt(i) - 1.0 / math.sqrt(j)) ** 2, c)
         for (i, j), c in g.pair_counts.items()))
     return g.n / 2 - dev
-
-
-def identity_residual(g: Graph) -> float:
-    """|randic_direct - randic_deviation|; the two forms agree algebraically."""
-    return abs(randic_direct(g).value - randic_deviation(g))

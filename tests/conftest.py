@@ -23,8 +23,7 @@ from randic import Graph
 
 
 def naive_graphs(n: int, connected: Optional[bool] = None,
-                 min_degree: Optional[int] = None,
-                 max_degree: Optional[int] = None) -> Iterator[Graph]:
+                 min_degree: Optional[int] = None) -> Iterator[Graph]:
     """Every labeled simple graph on n vertices, filtering after generation."""
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(2 ** len(pairs)):
@@ -34,8 +33,6 @@ def naive_graphs(n: int, connected: Optional[bool] = None,
             deg[u] += 1
             deg[v] += 1
         if min_degree is not None and n and min(deg) < min_degree:
-            continue
-        if max_degree is not None and n and max(deg) > max_degree:
             continue
         if connected is not None and _naive_connected(n, edges) != connected:
             continue

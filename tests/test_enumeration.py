@@ -45,7 +45,7 @@ def test_walk_key_is_histogram_and_connectivity():
     for n in range(1, 7):
         for min_degree in (None, 1):
             by_key, by_fact = {}, {}
-            for edges, _, key, _ in _walk(n, None, min_degree, None, ()):
+            for edges, _, key, _ in _walk(n, None, min_degree, ()):
                 deg = Counter(v for e in edges for v in e)
                 fact = (frozenset(Counter(tuple(sorted((deg[u], deg[v])))
                                           for u, v in edges).items()),
@@ -67,14 +67,14 @@ def test_sorted_walk_is_labeled_walk_with_sorted_degrees(connected):
         for min_degree in (None, 1):
             labeled, expected = Counter(), []
             for edges, deg, key, weight in _walk(n, connected, min_degree,
-                                                 None, ()):
+                                                 ()):
                 assert weight == 1
                 labeled[key] += 1
                 if _non_increasing(deg):
                     expected.append((sorted(edges), deg, key))
             weighted, leaves = Counter(), []
             for edges, deg, key, weight in _walk(n, connected, min_degree,
-                                                 None, (), ordered=True):
+                                                 (), ordered=True):
                 weighted[key] += weight
                 leaves.append((sorted(edges), deg, key))
             assert leaves == expected
@@ -87,7 +87,7 @@ def test_sorted_walk_weights_count_labeled_graphs():
     for connected, counts in (
             (None, [1, 4, 41, 768, 27449, 1887284]),
             (True, [1, 4, 38, 728, 26704, 1866256])):
-        assert [sum(weight for *_, weight in _walk(n, connected, 1, None, (),
+        assert [sum(weight for *_, weight in _walk(n, connected, 1, (),
                                                    ordered=True))
                 for n in range(2, 8)] == counts
 
@@ -104,9 +104,6 @@ def test_min_degree_counts():
     {"connected": False},
     {"min_degree": 1},
     {"min_degree": 2},
-    {"max_degree": 2},
-    {"min_degree": 1, "max_degree": 3},
-    {"connected": True, "min_degree": 2, "max_degree": 3},
 ])
 def test_pruned_equals_naive_filter(constraints):
     for n in range(1, 6):
@@ -141,23 +138,28 @@ def test_vertex_cap(n):
         list(enumerate_graphs(n))
 
 
-def test_prefix_partitions_cover_disjointly():
-    full = set(enumerate_graphs(4, min_degree=1))
-    parts = []
-    for idx in range(8):
-        prefix = tuple((idx >> (2 - b)) & 1 for b in range(3))
-        parts.append(set(enumerate_graphs(4, min_degree=1, prefix=prefix)))
-    union = set()
-    for part in parts:
-        assert not (union & part)
-        union |= part
-    assert union == full
+def test_negative_min_degree_refused():
+    with pytest.raises(ValueError, match="min_degree must be non-negative"):
+        list(enumerate_graphs(3, min_degree=-1))
 
 
 def _walk_items(n, connected, min_degree, prefix, ordered):
     # the walk's items, each with a copy of its edge list
     return [(tuple(edges), deg, key, weight) for edges, deg, key, weight
-            in _walk(n, connected, min_degree, None, prefix, ordered)]
+            in _walk(n, connected, min_degree, prefix, ordered)]
+
+
+def test_prefix_partitions_cover_disjointly():
+    full = set(_walk_items(4, None, 1, (), False))
+    parts = []
+    for idx in range(8):
+        prefix = tuple((idx >> (2 - b)) & 1 for b in range(3))
+        parts.append(set(_walk_items(4, None, 1, prefix, False)))
+    union = set()
+    for part in parts:
+        assert not (union & part)
+        union |= part
+    assert union == full
 
 
 @pytest.mark.parametrize("ordered", [False, True], ids=["labeled", "sorted"])
@@ -191,9 +193,9 @@ def test_pinned_walk_is_unpinned_walk_with_those_first_bits(ordered):
 
 def test_prefix_validation():
     with pytest.raises(ValueError):
-        list(enumerate_graphs(3, prefix=(0, 1, 0, 1)))
+        list(_walk(3, None, None, (0, 1, 0, 1)))
     with pytest.raises(ValueError):
-        list(enumerate_graphs(3, prefix=(2,)))
+        list(_walk(3, None, None, (2,)))
 
 
 # ── Canonical witness form ────────────────────────────────────────────

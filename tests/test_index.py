@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randic import (Graph, identity_residual, randic_deviation, randic_direct)
+from randic import Graph, randic_deviation, randic_direct
 
 from conftest import complete, cycle, naive_graphs, path, star
 
@@ -46,20 +46,19 @@ def test_deviation_closed_forms_agree():
     path(7),
 ])
 def test_identity_residual_small(g):
-    assert identity_residual(g) <= 1e-12
+    assert abs(randic_direct(g).value - randic_deviation(g)) <= 1e-12
 
 
 def test_identity_residual_exhaustive_n4():
     for g in naive_graphs(4, min_degree=1):
-        assert identity_residual(g) <= 1e-12
+        assert abs(randic_direct(g).value - randic_deviation(g)) <= 1e-12
 
 
 def test_identity_residual_at_format_scale():
     # the contract covers graphs up to 62 vertices and degree 61
     from randic import build_biregular
-    assert identity_residual(star(62)) <= 1e-12
-    assert identity_residual(complete(62)) <= 1e-12
-    assert identity_residual(build_biregular(30, 32, scale=2)) <= 1e-12
+    for g in (star(62), complete(62), build_biregular(30, 32, scale=2)):
+        assert abs(randic_direct(g).value - randic_deviation(g)) <= 1e-12
 
 
 @pytest.mark.parametrize("g, n", [
@@ -105,7 +104,7 @@ def test_pair_counts_total_and_value(g):
     recomputed = math.fsum(c / math.sqrt(i * j)
                            for (i, j), c in rv.pair_counts.items())
     assert rv.value == pytest.approx(recomputed, abs=1e-12)
-    assert identity_residual(g) <= 1e-12
+    assert abs(rv.value - randic_deviation(g)) <= 1e-12
 
 
 @settings(max_examples=150)
