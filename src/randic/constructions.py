@@ -56,44 +56,17 @@ def build_biregular(d: int, D: int, scale: int = 1) -> Graph:
     return Graph(p + q, tuple(edges))
 
 
-def build_end_block(i: int) -> Graph:
-    """Block for the extreme degree values: complement of P_3 + (i-1)/2 copies
-    of K_2 on i+2 vertices.  Exactly one vertex has degree i-1, the rest i.
-
-    Requires odd i >= 3; the degree-1 end of a chain uses a single vertex
-    instead (see build_degree_chain).
-    """
-    if i < 3 or i % 2 == 0:
-        raise ValueError(f"end block needs an odd degree >= 3, got {i}")
-    n = i + 2
-    # Complemented graph: path 0-1-2 plus the matching (3,4), (5,6), ...
-    removed = {(0, 1), (1, 2)}
-    for k in range(3, n, 2):
-        removed.add((k, k + 1))
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if (u, v) not in removed]
-    return Graph(n, tuple(edges))
-
-
-def build_mid_block(i: int) -> Graph:
-    """Block for intermediate degrees: K_{i+1} minus the edge (0, 1).
-    Vertices 0 and 1 have degree i-1, the rest degree i.  Requires i >= 2."""
-    if i < 2:
-        raise ValueError(f"mid block needs degree >= 2, got {i}")
-    n = i + 1
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) != (0, 1)]
-    return Graph(n, tuple(edges))
-
-
 def build_degree_chain(d: int, D: int) -> Graph:
     """Assemble the block-chain graph with minimum degree d, maximum D.
 
-    One block per degree value i in [d, D]: a single vertex for i = d = 1,
-    end blocks at i = d and i = D, mid blocks in between.  The blocks'
-    degree-deficient vertices are chained left to right by single edges
-    (lowest-label deficient vertex receives, the next one forwards), after
-    which every vertex in block i has degree exactly i.  Requires odd
-    d < D.
+    One block per degree value i in [d, D]: a single vertex for i = d = 1;
+    at i = d and i = D an end block, K_{i+2} less the path 0-1-2 and the
+    matching (3, 4), (5, 6), ..., whose vertex 1 alone has degree i - 1; in
+    between a mid block, K_{i+1} less the edge (0, 1), whose vertices 0 and
+    1 have degree i - 1.  The blocks' degree-deficient vertices are chained
+    left to right by single edges (lowest-label deficient vertex receives,
+    the next one forwards), after which every vertex in block i has degree
+    exactly i.  Requires odd d < D.
     """
     if d % 2 == 0 or D % 2 == 0:
         raise ValueError(f"chain construction needs odd degrees, got d={d}, D={D}")
@@ -103,22 +76,22 @@ def build_degree_chain(d: int, D: int) -> Graph:
     offset = 0
     prev_out: Optional[int] = None
     for i in range(d, D + 1):
-        if i == d and d == 1:
-            blk, deficient = Graph(1, ()), [0]
+        if i == d == 1:
+            size, removed, deficient = 1, (), (0,)
         elif i == d or i == D:
-            # the complement drops the path 0-1-2 and a matching, so only
-            # vertex 1 loses two edges: it alone has degree i - 1
-            blk, deficient = build_end_block(i), [1]
+            # i is odd, so the matching covers vertices 3..i+1 exactly
+            size, deficient = i + 2, (1,)
+            removed = {(0, 1), (1, 2), *((k, k + 1) for k in range(3, size, 2))}
         else:
-            blk = build_mid_block(i)
-            deficient = [0, 1]
-        edges.extend((offset + u, offset + v) for u, v in blk.edges)
+            size, removed, deficient = i + 1, ((0, 1),), (0, 1)
+        edges.extend((offset + u, offset + v) for u in range(size)
+                     for v in range(u + 1, size) if (u, v) not in removed)
         if prev_out is not None:
             edges.append((prev_out, offset + deficient[0]))
         # the last deficient vertex forwards to the next block; the final
         # block consumes its only deficient vertex as the receiver
         prev_out = offset + deficient[-1]
-        offset += blk.n
+        offset += size
     return Graph(offset, tuple(edges))
 
 

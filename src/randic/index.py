@@ -17,8 +17,8 @@ from typing import NamedTuple
 from .graphs import Graph, _positive_degrees
 
 #: Tolerance for the float-vs-float checks of identities that hold exactly in
-#: real arithmetic (both index forms, the decomposition, the chain closed
-#: form, the telescoping gap, the star baseline), all at n <= 62.
+#: real arithmetic (both index forms, the decomposition, the telescoping gap,
+#: the star baseline), all at n <= 62.
 IDENTITY_TOLERANCE = 1e-12
 
 

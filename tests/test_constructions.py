@@ -4,9 +4,9 @@ from math import gcd
 import pytest
 
 from randic import (Graph, biregular_certificate, bounds_report, build_biregular,
-                    build_degree_chain, build_end_block, build_mid_block,
-                    degree_chain_certificate, degree_multiset, is_connected,
-                    lower_bound, randic_direct, upper_bound)
+                    build_degree_chain, degree_chain_certificate,
+                    degree_multiset, is_connected, lower_bound, randic_direct,
+                    to_graph6, upper_bound)
 
 from conftest import complete_bipartite, cycle, disjoint_union, path, star
 
@@ -55,33 +55,38 @@ def test_biregular_grid_certificates_and_exact_equality(scale_extra):
             assert abs(value - lower_bound(g.n, d, D)) <= 1e-12
 
 
-# ── Blocks ────────────────────────────────────────────────────────────
-
-def test_end_block_degree_sequences():
-    assert sorted(build_end_block(3).degrees) == [2, 3, 3, 3, 3]
-    assert sorted(build_end_block(5).degrees) == [4, 5, 5, 5, 5, 5, 5]
-
-
-@pytest.mark.parametrize("i", [1, 2, 4, 0])
-def test_end_block_rejects(i):
-    with pytest.raises(ValueError):
-        build_end_block(i)
-
-
-def test_mid_block_shapes():
-    p3 = build_mid_block(2)                      # triangle minus an edge
-    assert sorted(p3.degrees) == [1, 1, 2]
-    assert p3.degrees[0] == 1 and p3.degrees[1] == 1   # deficient at low labels
-    assert sorted(build_mid_block(3).degrees) == [2, 2, 3, 3]
-    assert sorted(build_mid_block(4).degrees) == [3, 3, 4, 4, 4]
-
-
-def test_mid_block_rejects_small():
-    with pytest.raises(ValueError):
-        build_mid_block(1)
-
-
 # ── Chain construction ────────────────────────────────────────────────
+
+#: graph6 of build_degree_chain(d, D) for every odd pair 1 <= d < D <= 9,
+#: pinning the block layout and the labels of the cross edges.
+CHAIN_GRAPH6 = {
+    (1, 3): 'Hb?_O[M',
+    (1, 5): 'SbG?W[C??@_F?N???A??A??[?@o?Bw?Bw',
+    (1, 7): ('bbG?W[C??@_F?N?C????B??[?@w?Bw?@???????W??B_??N???^???^_????'
+             '??@?????G????w???@o???@{????}????Nw???@~?'),
+    (1, 9): ('ubG?W[C??@_F?N?C????B??[?@w?Bw?@???????W??B_??N???^???^_??C?'
+             '????????K????w???@w???@{????~????Nw????_???????????B?????B_?'
+             '???@w?????^?????B{?????Nw?????^w????????????C????????O??????'
+             'B_??????M???????^???????^???????Nw??????B}???????^{??????@~o'),
+    (3, 5): 'PVx??KF@w??O?A?B_@o?^?Bw',
+    (3, 7): ('_Vx??KF@wC???B?B_@w?^?@??????W??[??N??Bw??^_?????@????@????w'
+             '???M???@{???Fo???Nw???Nw'),
+    (3, 9): ('rVx??KF@wC???B?B_@w?^?@??????W??[??N??Bw??^_??_???????@_???w'
+             '???N???@{???Fw???Nw???C???????????W????B_????N?????^?????^_?'
+             '???Nw????B~????????????_???????O??????[??????M??????Bw??????'
+             '^??????@~??????B}??????B~_?????@~o'),
+    (5, 7): 'VVz~q???WB_N?^?^_??@???G??w?@o?@{??}??Nw?@~?',
+    (5, 9): ('iVz~q???WB_N?^?^_C?????K??w?@w?@{??~??Nw??_???????B???B_??@w'
+             '???^???B{???Nw???^w????????C??????O????B_????M?????^?????^??'
+             '???Nw????B}?????^{????@~o'),
+    (7, 9): ('\\Vz~v~}O???B?F?F_Bw?~?F{?^w????O???A???w??F???^???}???~_??^o'
+             '??F~???~w'),
+}
+
+
+@pytest.mark.parametrize("d, D", sorted(CHAIN_GRAPH6))
+def test_chain_graph6_golden(d, D):
+    assert to_graph6(build_degree_chain(d, D)) == CHAIN_GRAPH6[(d, D)]
 
 def test_chain_1_3_shape():
     g = build_degree_chain(1, 3)

@@ -9,11 +9,11 @@ import pytest
 import randic.bounds
 import randic.enumeration
 from randic import (DegreeChainCertificate, EnumerationSummary,
-                    biregular_certificate, canonical_graph6, chain_grid_check,
-                    degree_chain_certificate, enumerate_graphs, extremal_scan,
-                    gap_positivity_check, is_connected, lower_bound,
-                    randic_deviation, randic_direct, to_graph6, upper_bound,
-                    verify_theorems)
+                    biregular_certificate, build_biregular, build_degree_chain,
+                    canonical_graph6, chain_grid_check, degree_chain_certificate,
+                    enumerate_graphs, extremal_scan, gap_positivity_check,
+                    is_connected, lower_bound, randic_deviation, randic_direct,
+                    to_graph6, upper_bound, verify_theorems)
 from randic.enumeration import CheckResult, _walk
 
 from conftest import _naive_connected, complete_bipartite, naive_graphs, star
@@ -365,7 +365,9 @@ def test_jobs_capped_at_usable_cpus(monkeypatch, affinity):
 def test_pool_matches_one_process(monkeypatch, started_pools):
     # n = 7 is the first n split into prefix tasks, so at 2 jobs a real pool
     # walks it; the faults hit only graphs with 16 or more edges, all at
-    # n = 7, so each first counterexample is a graph some worker walked
+    # n = 7, so each first counterexample is a graph some worker walked.
+    # The upper-sign fault also reaches the chain grid, whose graphs past
+    # (1, 3) have 16 or more edges.
     def dense(pairs):
         return sum(pairs.values()) >= 16
 
@@ -374,7 +376,8 @@ def test_pool_matches_one_process(monkeypatch, started_pools):
         lower=dense, upper=dense))
     serial = verify_theorems(7, jobs=1)
     assert {c.name for c in serial.checks if c.failures} == {
-        "identity", "decomposition", "lower-bound", "upper-bound"}
+        "identity", "decomposition", "lower-bound", "upper-bound",
+        "chain-grid"}
     assert verify_theorems(7, jobs=2) == serial
     for connected_only in (False, True):
         assert (extremal_scan(7, connected_only=connected_only, jobs=2)
@@ -393,6 +396,26 @@ def test_verify_json_shape(verify4):
 def test_chain_grid_check_clean():
     result = chain_grid_check()
     assert result.checked == 10 and result.failures == 0
+
+
+def test_chain_grid_check_fails_off_equality(monkeypatch):
+    # K_{d,D}: connected, degree range [d, D], but every edge spans D - d
+    # levels, so it meets the bound with neither the sign nor the certificate
+    monkeypatch.setattr(randic.enumeration, "build_degree_chain",
+                        lambda d, D: build_biregular(d, D, math.gcd(d, D)))
+    assert chain_grid_check() == CheckResult(
+        "chain-grid", 10, 10, to_graph6(build_biregular(1, 3)))
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("degree_chain_certificate", lambda g: None),
+    ("_upper_sign", lambda pairs, d, D: 1),
+], ids=["no-certificate", "upper-sign"])
+def test_chain_grid_check_needs_sign_and_certificate(monkeypatch, name, fault):
+    # either decision alone fails every built chain
+    monkeypatch.setattr(randic.bounds, name, fault)
+    assert chain_grid_check() == CheckResult(
+        "chain-grid", 10, 10, to_graph6(build_degree_chain(1, 3)))
 
 
 def test_gap_positivity_check_clean():
