@@ -22,14 +22,18 @@ trap 'rm -rf "$tmp"' EXIT
 # ── CLI commands ──
 randic verify --max-n 6 --jobs 2
 randic enumerate --max-n 5 --connected --json
-# n <= 6 is walked in one process whatever --jobs says; n = 7 is
-# the first split across the pool.  The connected filter is decided
-# at every leaf of the walk by the union-find.
+# n <= 7 is walked in one process whatever --jobs says; n = 8 is
+# the first split across the pool, which by default has one worker per
+# usable CPU.  The connected filter is decided at every leaf of the
+# walk by the union-find.
 for cmd in enumerate "enumerate --connected" verify; do
   randic $cmd --max-n 7 --json --jobs 1 > "$tmp/jobs-1.json"
   randic $cmd --max-n 7 --json --jobs 2 > "$tmp/jobs-2.json"
   cmp "$tmp/jobs-1.json" "$tmp/jobs-2.json"
 done
+randic verify --max-n 8 --json --jobs 1 > "$tmp/jobs-1.json"
+randic verify --max-n 8 --json > "$tmp/jobs-all.json"
+cmp "$tmp/jobs-1.json" "$tmp/jobs-all.json"
 # verify's lower-bound check covers the graphs of the scan's classes,
 # and its upper-bound check those of the connected scan's classes
 randic verify --max-n 7 --jobs 2 --json > "$tmp/verify.json"
@@ -53,12 +57,9 @@ done
 # no graph, no CSV header
 randic bounds --format graph6 --csv < /dev/null > "$tmp/empty.csv"
 test ! -s "$tmp/empty.csv"
-# fewer than one job, from --jobs or RANDIC_JOBS, is refused
+# fewer than one job is refused
 code=0
 randic verify --max-n 3 --jobs 0 || code=$?
-test "$code" -eq 2
-code=0
-RANDIC_JOBS=0 randic verify --max-n 3 || code=$?
 test "$code" -eq 2
 
 # ── Edge-list reader ──

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from contextlib import nullcontext
 from typing import Callable, Iterator
@@ -259,13 +258,6 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
     group.add_argument("--csv", action="store_true", help="emit CSV")
 
 
-def _jobs_default() -> int:
-    try:
-        return int(os.environ.get("RANDIC_JOBS", "1"))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="randic",
@@ -298,15 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--connected", action="store_true",
                    help="restrict the scan to connected graphs")
-    p.add_argument("--jobs", type=int, default=_jobs_default(),
-                   help="worker processes (default $RANDIC_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=sys.maxsize, metavar="N",
+                   help="worker processes for n >= 8, at most the usable "
+                        "CPUs (default: all of them)")
     _add_output_options(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="exhaustively verify every bound and identity")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=_jobs_default(),
-                   help="worker processes (default $RANDIC_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=sys.maxsize, metavar="N",
+                   help="worker processes for n >= 8, at most the usable "
+                        "CPUs (default: all of them)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -36,8 +36,8 @@ counterexample.  The scan's witnesses are each class's least (R, graph6) and
 The walk can be partitioned by fixing the first k edge bits; partitions are
 processed independently, their key counts summed and their witness pairs
 merged by min, so results do not depend on the worker count.  An n whose
-whole walk costs less than starting a pool is not partitioned and runs in
-the calling process.
+whole walk costs less than starting a pool (n <= 7) is not partitioned and
+runs in the calling process.
 """
 
 from __future__ import annotations
@@ -54,17 +54,18 @@ from .graphs import Graph, _columns, _graph_unchecked, _unite, to_graph6
 from .index import IDENTITY_TOLERANCE, randic_deviation, randic_direct
 
 #: Hard cap on the vertex count.  n = 9 works but adds about 66.4 billion
-#: labeled graphs (37,091,190 degree-sorted ones): ``verify --max-n 9 --jobs 2``
-#: took 11.5 minutes wall (19 CPU-minutes) on a 2-vCPU Xeon, and ``enumerate
-#: --max-n 9 --jobs 2`` 13.8 minutes (23), against 6.2-7.4 s wall (12-14
-#: CPU-s) for ``verify --max-n 8 --jobs 2``.
+#: labeled graphs (37,091,190 degree-sorted ones): ``verify --max-n 9`` on
+#: 2 workers took 11.5 minutes wall (19 CPU-minutes) on a 2-vCPU Xeon, and
+#: ``enumerate --max-n 9`` 13.8 minutes (23), against 4.1-4.5 s wall (7.6-8.1
+#: CPU-s) for ``verify --max-n 8``.
 MAX_VERTICES = 9
 
 #: The largest n whose degree-sorted walk runs whole in the calling process,
-#: whatever the job count: n = 6 has 852 leaves and takes about 9 ms CPU,
-#: while starting, feeding and stopping a 2-worker pool takes 26-51 ms; n = 7
-#: (15,822 leaves, about 0.23 s) is the first worth splitting.
-_UNSPLIT_MAX_N = 6
+#: whatever the job count: on n = 7 (15,822 leaves, about 0.17 s CPU) a
+#: 2-worker pool spent 17-31% more CPU than one process for at most 12% less
+#: wall, and one worker per CPU would cost more; n = 8 (585,786 leaves) is
+#: the first worth splitting.
+_UNSPLIT_MAX_N = 7
 
 
 def enumerate_graphs(n: int, *, connected: Optional[bool] = None,
@@ -222,9 +223,10 @@ def _run(fn, tasks: list[tuple], jobs: int) -> list:
     """fn(*task) for every task, with the results in task order.
 
     A task ends with its prefix.  Unsplit tasks (empty prefix) run in this
-    process; the split ones go to a pool of up to ``jobs`` workers, one at a
-    time and last first: the degree-sorted walk puts the largest degrees on
-    the lowest labels, so its heaviest partitions come last in prefix order.
+    process; the split ones (n > _UNSPLIT_MAX_N) go to a pool of up to
+    ``jobs`` workers, one at a time and last first: the degree-sorted walk
+    puts the largest degrees on the lowest labels, so its heaviest
+    partitions come last in prefix order.
     """
     results = [None if task[-1] else fn(*task) for task in tasks]
     split = [i for i, task in enumerate(tasks) if task[-1]][::-1]
@@ -270,8 +272,9 @@ def _partition(n: int, connected: Optional[bool], witnesses: bool,
 
 
 def _cap_jobs(jobs: int) -> int:
-    """jobs, at most the CPUs this process may run on; more would only add
-    idle processes and prefix tasks.  Fewer than one job is refused."""
+    """jobs, at most the CPUs this process may run on, which the CLI asks
+    for unless ``--jobs`` says fewer; more would only add idle processes and
+    prefix tasks.  Fewer than one job is refused."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     try:

@@ -185,8 +185,10 @@ def k23() -> Graph:
 
 @pytest.fixture
 def started_pools(monkeypatch) -> list[int]:
-    """Let this process run on 2 CPUs and record the size of every
-    multiprocessing.Pool started, each a real pool; returns that list."""
+    """Let this process run on 2 CPUs, split n = 7 as the first n worth a
+    pool, so that a real pool is tested in seconds rather than on n = 8,
+    and record the size of every multiprocessing.Pool started, each a real
+    pool; returns that list."""
     started = []
     pool = multiprocessing.Pool
 
@@ -197,4 +199,5 @@ def started_pools(monkeypatch) -> list[int]:
     monkeypatch.setattr(multiprocessing, "Pool", spy)
     monkeypatch.setattr(randic.enumeration.os, "sched_getaffinity",
                         lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(randic.enumeration, "_UNSPLIT_MAX_N", 6)
     return started

@@ -166,8 +166,8 @@ def test_criterion_9b_pruned_vs_naive():
 
 
 def test_criterion_9c_worker_invariance(started_pools):
-    # every n <= 6 is walked in this process whatever jobs says; n = 7 is
-    # split across a pool
+    # started_pools splits n = 7, otherwise walked whole in this process,
+    # across a real pool
     assert extremal_scan(7, jobs=1) == extremal_scan(7, jobs=2)
     assert verify_theorems(7, jobs=1) == verify_theorems(7, jobs=2)
     assert started_pools == [2, 2]
@@ -175,8 +175,7 @@ def test_criterion_9c_worker_invariance(started_pools):
 
 
 def test_criterion_9d_cli_verify_exits_zero(capsys):
-    jobs = os.environ.get("RANDIC_JOBS", "2")
-    code = main(["verify", "--max-n", "6", "--jobs", jobs])
+    code = main(["verify", "--max-n", "6"])
     out = capsys.readouterr().out
     assert code == 0
     assert "all theorems verified" in out

@@ -10,7 +10,9 @@ import pytest
 from randic import (build_biregular, build_degree_chain, format_edge_list,
                     to_graph6)
 import randic.cli
+import randic.enumeration
 from randic.cli import main
+from randic.enumeration import VerificationReport
 
 
 STAR4_EDGELIST = "4\n0 1\n0 2\n0 3\n"
@@ -404,30 +406,40 @@ def test_verify_cap_exits_2(capsys):
     assert "capped" in err
 
 
-def test_jobs_default_from_env(monkeypatch):
-    from randic.cli import build_parser
-    monkeypatch.setenv("RANDIC_JOBS", "3")
-    args = build_parser().parse_args(["verify", "--max-n", "3"])
-    assert args.jobs == 3
-    monkeypatch.setenv("RANDIC_JOBS", "junk")
-    args = build_parser().parse_args(["verify", "--max-n", "3"])
-    assert args.jobs == 1
+@pytest.mark.parametrize("argv, expected", [([], 3), (["--jobs", "2"], 2),
+                                             (["--jobs", "5"], 3)])
+def test_jobs_default_to_usable_cpus(capsys, monkeypatch, argv, expected):
+    # with no --jobs the CLI asks for every CPU, which the job cap turns
+    # into the CPUs this process may run on; --jobs can only lower that
+    monkeypatch.setattr(randic.enumeration.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2}, raising=False)
+    asked = []
+
+    def record(result):
+        def library(n_max, *, jobs, **kwargs):
+            asked.append(randic.enumeration._cap_jobs(jobs))
+            return result
+        return library
+
+    monkeypatch.setattr(randic.cli, "verify_theorems",
+                        record(VerificationReport(8, 0, ())))
+    monkeypatch.setattr(randic.cli, "extremal_scan", record([]))
+    for command in ("verify", "enumerate"):
+        assert run(capsys, [command, "--max-n", "8", *argv])[0] == 0
+    assert asked == [expected, expected]
 
 
 @pytest.mark.parametrize("command", ["verify", "enumerate"])
 @pytest.mark.parametrize("jobs", ["0", "-5"])
-def test_jobs_below_one_exits_2(capsys, monkeypatch, command, jobs):
+def test_jobs_below_one_exits_2(capsys, command, jobs):
     code, out, err = run(capsys, [command, "--max-n", "3", "--jobs", jobs])
     assert (code, out) == (2, "")
     assert err == f"error: jobs must be at least 1, got {jobs}\n"
-    # the same value from the environment is refused the same way
-    monkeypatch.setenv("RANDIC_JOBS", jobs)
-    assert run(capsys, [command, "--max-n", "3"]) == (code, out, err)
 
 
 def test_import_leaves_multiprocessing_unloaded():
     # the pool is imported only by a run that starts one, so bounds,
-    # compute, construct and a verify or scan at n <= 6 never pay for it;
+    # compute, construct and a verify or scan at n <= 7 never pay for it;
     # the records are NamedTuples, so no run pays for dataclasses either,
     # whose frozen classes each build six methods with exec at import
     env = {**os.environ,

@@ -303,11 +303,13 @@ def test_verify_and_scan_count_the_same_graphs(n_max, jobs):
             6: (28070, 27310), 7: (1914423, 1892740)}[n_max]
 
 
-def _record_pools(monkeypatch, cpus):
-    """Let this process run on ``cpus`` CPUs and replace multiprocessing.Pool
-    by a stand-in that runs its tasks inline, in the order it receives them,
-    so no process is started; returns the list the stand-in appends (pool
-    size, chunksize, task prefixes in the order received) to."""
+def _record_pools(monkeypatch, cpus, unsplit_max_n=6):
+    """Let this process run on ``cpus`` CPUs, split every n above
+    ``unsplit_max_n`` (6 by default, so that n = 7 exercises the split in
+    seconds), and replace multiprocessing.Pool by a stand-in that runs its
+    tasks inline, in the order it receives them, so no process is started;
+    returns the list the stand-in appends (pool size, chunksize, task
+    prefixes in the order received) to."""
     pools = []
 
     class RecordingPool:
@@ -328,14 +330,16 @@ def _record_pools(monkeypatch, cpus):
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(randic.enumeration.os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(randic.enumeration, "_UNSPLIT_MAX_N", unsplit_max_n)
     return pools
 
 
 def test_pool_never_larger_than_task_list(monkeypatch):
-    pools = _record_pools(monkeypatch, cpus=64)
-    # n <= 6 is walked whole in this process whatever jobs asks for
-    assert verify_theorems(6, jobs=64) == verify_theorems(6)
-    assert extremal_scan(6, jobs=64) == extremal_scan(6)
+    pools = _record_pools(monkeypatch, cpus=64,
+                          unsplit_max_n=randic.enumeration._UNSPLIT_MAX_N)
+    # n <= 7 is walked whole in this process whatever jobs asks for
+    assert verify_theorems(7, jobs=64) == verify_theorems(7)
+    assert extremal_scan(7, jobs=64) == extremal_scan(7)
     assert pools == []
     # only the split tasks go to the pool, which they bound, last first; the
     # results come back in task order
@@ -363,7 +367,7 @@ def test_jobs_capped_at_usable_cpus(monkeypatch, affinity):
 
 
 def test_pool_matches_one_process(monkeypatch, started_pools):
-    # n = 7 is the first n split into prefix tasks, so at 2 jobs a real pool
+    # started_pools splits n = 7 into prefix tasks, so at 2 jobs a real pool
     # walks it; the faults hit only graphs with 16 or more edges, all at
     # n = 7, so each first counterexample is a graph some worker walked.
     # The upper-sign fault also reaches the chain grid, whose graphs past
