@@ -2,7 +2,8 @@
 
 Subcommands: compute, bounds, construct, enumerate, verify.  Graphs are read
 from a file or stdin ("-") in edge-list or graph6 format; graph6 input is
-streamed one graph per line so the tool composes in shell pipelines.
+streamed one graph per line, a chunk of lines at a time, so the tool
+composes in shell pipelines.
 
 Exit codes: 0 success, 2 usage or input error, 3 bound violation found
 (a counterexample to a verified theorem -- never expected).
@@ -12,14 +13,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
-from contextlib import nullcontext
+from collections import deque
+from contextlib import closing, nullcontext
+from itertools import chain, islice, starmap
 from typing import Callable, Iterator
 
 from .bounds import bounds_report
 from .constructions import build_biregular, build_degree_chain, degree_chain_certificate
-from .enumeration import (CSV_COLUMNS, MAX_VERTICES, extremal_scan, verify_theorems)
+from .enumeration import (CSV_COLUMNS, MAX_VERTICES, _cap_jobs, extremal_scan,
+                          verify_theorems)
 from .graphs import (Graph, GraphFormatError, biregular_certificate,
                      degree_multiset, format_edge_list, parse_edge_list,
                      parse_graph6, to_graph6)
@@ -28,6 +33,12 @@ from .index import IDENTITY_TOLERANCE, randic_direct, randic_deviation
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
+
+#: graph6 input is read and evaluated in chunks of lines of about this many
+#: bytes (about 440 graphs of n 20..62, 90 ms of ``bounds``), and spread
+#: over a pool once it is longer than one chunk: on 2 CPUs a pool is
+#: slower than one process on one chunk and faster from two chunks on.
+_CHUNK_BYTES = 1 << 16
 
 
 def _fmt(x: float) -> str:
@@ -44,111 +55,205 @@ def _cell(x) -> str:
     return str(int(x) if isinstance(x, bool) else x)
 
 
+#: The item types of a list or tuple that _json_ready passes on as it is.
+_JSON_PLAIN = frozenset((int, str, bool, type(None)))
+
+
 def _json_ready(obj):
-    """Round floats to 15 significant digits so JSON output is stable."""
+    """Round floats to 15 significant digits so JSON output is stable.  Only
+    floats change, so a list or tuple of ints, strings, flags and None (a
+    certificate's parts) is passed on as it is, without a call per item."""
     if isinstance(obj, float):
         return float(_fmt(obj))
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple)) and not _JSON_PLAIN.issuperset(map(type, obj)):
         return [_json_ready(v) for v in obj]
     return obj
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(_json_ready(obj), separators=(", ", ": "))
+    # the default separators, ", " and ": ", reuse json's shared encoder
+    return json.dumps(_json_ready(obj))
 
 
-def _read_graphs(path: str, fmt: str,
-                 evaluate: Callable[[Graph], object]) -> Iterator[tuple]:
-    """Yield (g, evaluate(g)) per input graph.  Edge-list input holds a single
-    graph; graph6 input one graph per line, parsed as it is read, and an
-    error parsing or evaluating a line's graph is prefixed by its number."""
+def _csv_lines(row: dict) -> tuple[str, str]:
+    """The CSV header and record of one row, as csv.writer writes them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(row.keys())
+    header = buf.getvalue()
+    writer.writerow(map(_cell, row.values()))
+    return header, buf.getvalue()[len(header):]
+
+
+def _compute_output(g: Graph, form: str) -> tuple[str, str, str, bool]:
+    """compute on one graph, in form "text", "json" or "csv": (the CSV
+    header, or "" in the other forms; the stdout line; the stderr text;
+    False, since compute checks no bound)."""
+    rv = randic_direct(g)
+    dev = randic_deviation(g)
+    residual = abs(rv.value - dev)
+    # both forms round to a few ulp of values up to n/2, so past the
+    # n <= 62 of graph6 the tolerance grows with n
+    tolerance = IDENTITY_TOLERANCE * max(1, g.n / 62)
+    warning = (f"warning: identity residual {residual:.3g} exceeds "
+               f"tolerance {tolerance:.3g}\n" if residual > tolerance else "")
+    pairs = sorted(rv.pair_counts.items())
+    row = {"n": g.n, "m": g.m, "randic": rv.value, "deviation": dev,
+           "residual": residual,
+           "pairs": [[i, j, c] for (i, j), c in pairs]}
+    if form == "json":
+        return "", _dump_json(row) + "\n", warning, False
+    row["pairs"] = ";".join(f"({i},{j})x{c}" for (i, j), c in pairs)
+    if form == "csv":
+        return (*_csv_lines(row), warning, False)
+    return ("", " ".join(f"{k}={_cell(v)}" for k, v in row.items()) + "\n",
+            warning, False)
+
+
+def _bounds_output(g: Graph, form: str) -> tuple[str, str, str, bool]:
+    """bounds on one graph, in form "text", "json" or "csv": (the CSV
+    header, or "" in the other forms; the stdout line; the stderr text;
+    whether g violates a bound)."""
+    report = bounds_report(g)
+    violation = report.lower_sign < 0 or (report.upper_sign or 0) < 0
+    # graph6 encodes only n <= 62
+    err = (f"BOUND VIOLATION on "
+           f"{to_graph6(g) if g.n <= 62 else f'n={g.n} m={g.m} graph'}\n"
+           if violation else "")
+    if form == "json":
+        return "", _dump_json(report.to_json_dict()) + "\n", err, violation
+    if form == "csv":
+        # the JSON row, less the omission reason, with each certificate
+        # as a flag
+        row = report.to_json_dict()
+        row.pop("upperBoundOmitted", None)
+        for key in ("lowerEquality", "upperEquality"):
+            row[key] = row[key] is not None
+        return (*_csv_lines(row), err, violation)
+    upper = ("omitted(disconnected)" if report.upper is None
+             else _fmt(report.upper))
+    upper_slack = ("-" if report.upper_slack is None
+                   else _fmt(report.upper_slack))
+    return ("", f"n={report.n} d={report.d} D={report.D} "
+                f"randic={_fmt(report.randic)} lower={_fmt(report.lower)} "
+                f"upper={upper} baseline={_fmt(report.baseline)} "
+                f"lowerSlack={_fmt(report.lower_slack)} upperSlack={upper_slack} "
+                f"lowerEquality={'yes' if report.lower_equality else 'no'} "
+                f"upperEquality={'yes' if report.upper_equality else 'no'}"
+                + (" regular" if report.regular else "") + "\n",
+            err, violation)
+
+
+def _chunk_output(output: Callable, form: str, lines: list[bytes],
+                  lineno: int) -> tuple:
+    """output(g, form) for the graph of every graph6 line, the first of
+    them line ``lineno`` of the input, and blank lines skipped: (the first
+    CSV header; the stdout texts and the stderr texts, each joined; whether
+    some graph violates a bound; the error of the first line that fails to
+    parse or evaluate, prefixed by its number, or None).  The lines after a
+    failing one are not read."""
+    header, outs, errs, violation = "", [], [], False
+    for lineno, raw in enumerate(lines, start=lineno):
+        line = raw.decode("latin-1")
+        if not line.strip(" \t\r\n"):
+            continue
+        try:
+            head, out, err, bad = output(parse_graph6(line), form)
+        except ValueError as exc:
+            return (header, "".join(outs), "".join(errs), violation,
+                    type(exc)(f"line {lineno}: {exc}"))
+        header = header or head
+        outs.append(out)
+        errs.append(err)
+        violation = violation or bad
+    return header, "".join(outs), "".join(errs), violation, None
+
+
+def _numbered_chunks(fh) -> Iterator[tuple[list[bytes], int]]:
+    """(lines, number of the first) for each chunk of about _CHUNK_BYTES
+    of fh's lines, split on "\\n" only."""
+    lineno = 1
+    for lines in iter(lambda: fh.readlines(_CHUNK_BYTES), []):
+        yield lines, lineno
+        lineno += len(lines)
+
+
+def _in_order(pool, fn: Callable, tasks: Iterator[tuple],
+              ahead: int) -> Iterator:
+    """fn(*task) for every task, run on pool with at most ``ahead`` tasks
+    in flight, so that tasks are read only as results are taken; the
+    results in task order."""
+    pending: deque = deque()
+    for task in tasks:
+        pending.append(pool.apply_async(fn, task))
+        if len(pending) >= ahead:
+            yield pending.popleft().get()
+    while pending:
+        yield pending.popleft().get()
+
+
+def _read_graphs(path: str, fmt: str, output: Callable,
+                 form: str) -> Iterator[tuple[str, str, str, bool]]:
+    """Yield output(g, form) = (CSV header, stdout text, stderr text,
+    violation) over the input graphs, in input order.
+
+    Edge-list input holds a single graph.  graph6 input holds one graph per
+    line and is read and evaluated in chunks of lines (_chunk_output), one
+    tuple per chunk; input longer than one chunk is evaluated on a pool of
+    one worker per usable CPU, with at most two chunks per worker in flight.
+    An error parsing or evaluating a line's graph is raised, prefixed by its
+    line number, after the output of the lines before it.
+    """
     # input is read as bytes and decoded as latin-1, which maps each byte to
     # the code point of its value: the parsers then report a non-ASCII byte
     # on its line, from a file and from stdin alike
     with (nullcontext(sys.stdin.buffer) if path == "-"
           else open(path, "rb")) as fh:
         if fmt == "edgelist":
-            g = parse_edge_list(fh.read().decode("latin-1"))
-            yield g, evaluate(g)
+            yield output(parse_edge_list(fh.read().decode("latin-1")), form)
             return
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.decode("latin-1")
-            if not line.strip(" \t\r\n"):
-                continue
-            try:
-                g = parse_graph6(line)
-                value = evaluate(g)
-            except ValueError as exc:
-                raise type(exc)(f"line {lineno}: {exc}") from None
-            yield g, value
+        chunks = _numbered_chunks(fh)
+        head = list(islice(chunks, 2))
+        jobs = _cap_jobs(sys.maxsize) if len(head) > 1 else 1
+        tasks = ((output, form, lines, lineno)
+                 for lines, lineno in chain(head, chunks))
+        if jobs == 1:
+            pool, results = nullcontext(), starmap(_chunk_output, tasks)
+        else:
+            from multiprocessing import Pool  # about 10 ms to import
+            pool = Pool(jobs)
+            results = _in_order(pool, _chunk_output, tasks, 2 * jobs)
+        with pool:
+            for header, out, err, violation, error in results:
+                yield header, out, err, violation
+                if error is not None:
+                    raise error
+
+
+def _write_reports(args, output: Callable) -> int:
+    """Write output's text for every input graph, the CSV header once
+    before the first row; EXIT_VIOLATION if some graph violates a bound."""
+    form = "json" if args.json else "csv" if args.csv else "text"
+    header_written = violation = False
+    with closing(_read_graphs(args.input, args.format, output, form)) as reports:
+        for header, out, err, bad in reports:
+            if header and not header_written:
+                sys.stdout.write(header)
+                header_written = True
+            sys.stderr.write(err)
+            sys.stdout.write(out)
+            violation = violation or bad
+    return EXIT_VIOLATION if violation else EXIT_OK
 
 
 def cmd_compute(args) -> int:
-    writer = None
-    for g, rv in _read_graphs(args.input, args.format, randic_direct):
-        dev = randic_deviation(g)
-        residual = abs(rv.value - dev)
-        # both forms round to a few ulp of values up to n/2, so past the
-        # n <= 62 of graph6 the tolerance grows with n
-        tolerance = IDENTITY_TOLERANCE * max(1, g.n / 62)
-        if residual > tolerance:
-            print(f"warning: identity residual {residual:.3g} exceeds "
-                  f"tolerance {tolerance:.3g}", file=sys.stderr)
-        pairs = sorted(rv.pair_counts.items())
-        row = {"n": g.n, "m": g.m, "randic": rv.value, "deviation": dev,
-               "residual": residual,
-               "pairs": [[i, j, c] for (i, j), c in pairs]}
-        if args.json:
-            print(_dump_json(row))
-            continue
-        row["pairs"] = ";".join(f"({i},{j})x{c}" for (i, j), c in pairs)
-        if args.csv:
-            if writer is None:
-                writer = csv.writer(sys.stdout, lineterminator="\n")
-                writer.writerow(row.keys())
-            writer.writerow(map(_cell, row.values()))
-        else:
-            print(" ".join(f"{k}={_cell(v)}" for k, v in row.items()))
-    return EXIT_OK
+    return _write_reports(args, _compute_output)
 
 
 def cmd_bounds(args) -> int:
-    violation = False
-    writer = None
-    for g, report in _read_graphs(args.input, args.format, bounds_report):
-        if report.lower_sign < 0 or (report.upper_sign or 0) < 0:
-            violation = True
-            # graph6 encodes only n <= 62
-            on = to_graph6(g) if g.n <= 62 else f"n={g.n} m={g.m} graph"
-            print(f"BOUND VIOLATION on {on}", file=sys.stderr)
-        if args.json:
-            print(_dump_json(report.to_json_dict()))
-        elif args.csv:
-            # the JSON row, less the omission reason, with each certificate
-            # as a flag
-            row = report.to_json_dict()
-            row.pop("upperBoundOmitted", None)
-            for key in ("lowerEquality", "upperEquality"):
-                row[key] = row[key] is not None
-            if writer is None:
-                writer = csv.writer(sys.stdout, lineterminator="\n")
-                writer.writerow(row.keys())
-            writer.writerow(map(_cell, row.values()))
-        else:
-            upper = ("omitted(disconnected)" if report.upper is None
-                     else _fmt(report.upper))
-            upper_slack = ("-" if report.upper_slack is None
-                           else _fmt(report.upper_slack))
-            print(f"n={report.n} d={report.d} D={report.D} "
-                  f"randic={_fmt(report.randic)} lower={_fmt(report.lower)} "
-                  f"upper={upper} baseline={_fmt(report.baseline)} "
-                  f"lowerSlack={_fmt(report.lower_slack)} upperSlack={upper_slack} "
-                  f"lowerEquality={'yes' if report.lower_equality else 'no'} "
-                  f"upperEquality={'yes' if report.upper_equality else 'no'}"
-                  + (" regular" if report.regular else ""))
-    return EXIT_VIOLATION if violation else EXIT_OK
+    return _write_reports(args, _bounds_output)
 
 
 def cmd_construct(args) -> int:

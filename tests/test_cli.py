@@ -1,5 +1,6 @@
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -296,6 +297,96 @@ def test_bounds_csv_header(capsys, monkeypatch):
     assert lines[1].split(",")[:3] == ["4", "1", "3"]
 
 
+# ── graph6 streams on a pool ──────────────────────────────────────────
+
+# biregular and chain witnesses (lower and upper equality), a path, a
+# regular graph and a disconnected one, each line as to_graph6 writes it
+POOL_G6 = [to_graph6(g) for g in (
+    build_biregular(1, 3), build_biregular(2, 3), build_biregular(2, 3, 2),
+    build_degree_chain(1, 3), build_degree_chain(3, 5))] + [
+    "Ch", "Cl", "Fs?GW", "Dhc", "C~"]
+
+
+def run_on(capsys, monkeypatch, argv, stdin, cpus, chunk_bytes):
+    """run() on ``cpus`` usable CPUs, graph6 input read in chunks of about
+    ``chunk_bytes``; a fork pool's workers inherit the patches."""
+    monkeypatch.setattr(randic.enumeration.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(randic.cli, "_CHUNK_BYTES", chunk_bytes)
+    return run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+
+
+def runs_three_ways(capsys, monkeypatch, argv, stdin):
+    """(code, stdout, stderr) of one process on one chunk, of one process
+    on 64-byte chunks and of a 2-worker pool on 64-byte chunks."""
+    return [run_on(capsys, monkeypatch, argv, stdin, cpus, chunk_bytes)
+            for cpus, chunk_bytes in ((1, 1 << 20), (1, 64), (2, 64))]
+
+
+@pytest.mark.parametrize("form", ["", "--json", "--csv"])
+@pytest.mark.parametrize("command", ["bounds", "compute"])
+def test_pool_output_matches_one_process(capsys, monkeypatch, started_pools,
+                                         command, form):
+    # eight copies of the list make 9 chunks, more than the 4 that the pool
+    # holds in flight, with blank lines inside chunks
+    stdin = "\n".join(POOL_G6 * 8).replace("Dhc", "Dhc\n\n") + "\n"
+    argv = [command, "--format", "graph6", *filter(None, [form])]
+    one, chunked, pooled = runs_three_ways(capsys, monkeypatch, argv, stdin)
+    assert one == chunked == pooled
+    assert one[0] == 0 and one[2] == ""
+    assert len(one[1].splitlines()) == len(POOL_G6) * 8 + (form == "--csv")
+    assert started_pools == [2]
+
+
+@pytest.mark.parametrize("command", ["bounds", "compute"])
+def test_pool_error_names_its_line(capsys, monkeypatch, started_pools, command):
+    # a bad line past the second 64-byte chunk, after blank lines that
+    # count toward its number; the reports of the lines before it come first
+    lines = POOL_G6 * 3 + ["", " \t\r", ""] + ["bad!"] + POOL_G6
+    bad = lines.index("bad!") + 1
+    stdin = "\n".join(lines) + "\n"
+    buf = io.BytesIO(stdin.encode())
+    chunks = list(iter(lambda: buf.readlines(64), []))
+    assert b"bad!\n" not in chunks[0] + chunks[1]
+    argv = [command, "--format", "graph6"]
+    before = run_on(capsys, monkeypatch, argv, "\n".join(lines[:bad - 1]),
+                    cpus=1, chunk_bytes=1 << 20)
+    for code, out, err in runs_three_ways(capsys, monkeypatch, argv, stdin):
+        assert (code, out) == (2, before[1])
+        assert err == (f"error: line {bad}: invalid graph6 byte 33 at "
+                       "position 3 (must be 63..126)\n")
+    assert started_pools == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_violation_exits_3(capsys, monkeypatch, started_pools):
+    # a lower sign helper that reports -1 makes the lower bound of every
+    # graph that is not regular read as violated, in the workers too
+    monkeypatch.setattr("randic.bounds._lower_sign", lambda pairs, d, D: -1)
+    stdin = "\n".join(POOL_G6 * 2) + "\n"
+    argv = ["bounds", "--format", "graph6", "--json"]
+    one, chunked, pooled = runs_three_ways(capsys, monkeypatch, argv, stdin)
+    assert one == chunked == pooled
+    assert one[0] == 3
+    regular = {"Cl", "Dhc", "C~"}
+    assert one[2] == "".join(f"BOUND VIOLATION on {g6}\n"
+                             for g6 in POOL_G6 * 2 if g6 not in regular)
+    assert started_pools == [2]
+
+
+@pytest.mark.parametrize("command", ["bounds", "compute"])
+def test_pool_without_graphs_prints_no_header(capsys, monkeypatch,
+                                              started_pools, command):
+    # 300 blank lines fill several chunks, so a pool starts, but no graph
+    # is read and no CSV header written
+    for stdin in ("", "\n" * 300):
+        code, out, err = run_on(capsys, monkeypatch,
+                                [command, "--format", "graph6", "--csv"],
+                                stdin, cpus=2, chunk_bytes=64)
+        assert (code, out, err) == (0, "", "")
+    assert started_pools == [2]
+
+
 # ── construct ─────────────────────────────────────────────────────────
 
 def test_construct_family_streams_graph6(capsys):
@@ -438,18 +529,23 @@ def test_jobs_below_one_exits_2(capsys, command, jobs):
 
 
 def test_import_leaves_multiprocessing_unloaded():
-    # the pool is imported only by a run that starts one, so bounds,
-    # compute, construct and a verify or scan at n <= 7 never pay for it;
-    # the records are NamedTuples, so no run pays for dataclasses either,
-    # whose frozen classes each build six methods with exec at import
+    # the pool is imported only by a run that starts one, so construct, a
+    # verify or scan at n <= 7, bounds and compute on an edge list or on
+    # graph6 input of one chunk never pay for it; the records are
+    # NamedTuples, so no run pays for dataclasses either, whose frozen
+    # classes each build six methods with exec at import
     env = {**os.environ,
            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    code = ("import sys, randic.cli; print(sorted("
-            "m for m in sys.modules if m.startswith('multiprocessing')"
-            " or m == 'dataclasses'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out == "[]\n"
+    code = ("import sys, randic.cli\n"
+            "if sys.argv[1:]: assert randic.cli.main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "'multiprocessing') or m == 'dataclasses'), file=sys.stderr)")
+    for argv, stdin in (([], ""), (["bounds", "--format", "graph6"], "Cs\n"),
+                        (["bounds"], STAR4_EDGELIST)):
+        err = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             check=True, input=stdin, capture_output=True,
+                             text=True, timeout=60).stderr
+        assert err == "[]\n", argv
 
 
 def test_usage_error_exits_2():
