@@ -16,15 +16,14 @@ import csv
 import io
 import json
 import sys
-from collections import deque
 from contextlib import closing, nullcontext
-from itertools import chain, islice, starmap
+from itertools import chain, islice
 from typing import Callable, Iterator
 
 from .bounds import bounds_report
 from .constructions import build_biregular, build_degree_chain, degree_chain_certificate
-from .enumeration import (CSV_COLUMNS, MAX_VERTICES, _cap_jobs, extremal_scan,
-                          verify_theorems)
+from .enumeration import (CSV_COLUMNS, MAX_VERTICES, _cap_jobs, _pool_map,
+                          extremal_scan, verify_theorems)
 from .graphs import (Graph, GraphFormatError, biregular_certificate,
                      degree_multiset, format_edge_list, parse_edge_list,
                      parse_graph6, to_graph6)
@@ -36,8 +35,9 @@ EXIT_VIOLATION = 3
 
 #: graph6 input is read and evaluated in chunks of lines of about this many
 #: bytes (about 440 graphs of n 20..62, 90 ms of ``bounds``), and spread
-#: over a pool once it is longer than one chunk: on 2 CPUs a pool is
-#: slower than one process on one chunk and faster from two chunks on.
+#: over a pool by ``enumeration._pool_map`` once it is longer than one
+#: chunk: on 2 CPUs a pool is slower than one process on one chunk and
+#: faster from two chunks on.
 _CHUNK_BYTES = 1 << 16
 
 
@@ -180,20 +180,6 @@ def _numbered_chunks(fh) -> Iterator[tuple[list[bytes], int]]:
         lineno += len(lines)
 
 
-def _in_order(pool, fn: Callable, tasks: Iterator[tuple],
-              ahead: int) -> Iterator:
-    """fn(*task) for every task, run on pool with at most ``ahead`` tasks
-    in flight, so that tasks are read only as results are taken; the
-    results in task order."""
-    pending: deque = deque()
-    for task in tasks:
-        pending.append(pool.apply_async(fn, task))
-        if len(pending) >= ahead:
-            yield pending.popleft().get()
-    while pending:
-        yield pending.popleft().get()
-
-
 def _read_graphs(path: str, fmt: str, output: Callable,
                  form: str) -> Iterator[tuple[str, str, str, bool]]:
     """Yield output(g, form) = (CSV header, stdout text, stderr text,
@@ -219,13 +205,7 @@ def _read_graphs(path: str, fmt: str, output: Callable,
         jobs = _cap_jobs(sys.maxsize) if len(head) > 1 else 1
         tasks = ((output, form, lines, lineno)
                  for lines, lineno in chain(head, chunks))
-        if jobs == 1:
-            pool, results = nullcontext(), starmap(_chunk_output, tasks)
-        else:
-            from multiprocessing import Pool  # about 10 ms to import
-            pool = Pool(jobs)
-            results = _in_order(pool, _chunk_output, tasks, 2 * jobs)
-        with pool:
+        with closing(_pool_map(_chunk_output, tasks, jobs)) as results:
             for header, out, err, violation, error in results:
                 yield header, out, err, violation
                 if error is not None:

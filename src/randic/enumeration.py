@@ -37,16 +37,20 @@ The walk can be partitioned by fixing the first k edge bits; partitions are
 processed independently, their key counts summed and their witness pairs
 merged by min, so results do not depend on the worker count.  An n whose
 whole walk costs less than starting a pool (n <= 7) is not partitioned and
-runs in the calling process.
+runs in the calling process; the partitions of a larger n go, heaviest
+first, to ``_pool_map``, the one pool runner, which the CLI's graph6 reader
+shares.  It yields results in task order, and a worker that dies ends the
+run with BrokenProcessPool rather than leaving it waiting for good.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import Counter
+from collections import Counter, deque
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional
+from itertools import islice, starmap
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .bounds import bounds_report, decomposition_residual, telescope_gap
 from .constructions import build_degree_chain
@@ -219,26 +223,6 @@ class EnumerationSummary(NamedTuple):
         return dict(zip(CSV_COLUMNS, self))
 
 
-def _run(fn, tasks: list[tuple], jobs: int) -> list:
-    """fn(*task) for every task, with the results in task order.
-
-    A task ends with its prefix.  Unsplit tasks (empty prefix) run in this
-    process; the split ones (n > _UNSPLIT_MAX_N) go to a pool of up to
-    ``jobs`` workers, one at a time and last first: the degree-sorted walk
-    puts the largest degrees on the lowest labels, so its heaviest
-    partitions come last in prefix order.
-    """
-    results = [None if task[-1] else fn(*task) for task in tasks]
-    split = [i for i, task in enumerate(tasks) if task[-1]][::-1]
-    if split:
-        from multiprocessing import Pool  # about 10 ms to import
-        with Pool(min(jobs, len(split))) as pool:
-            parts = pool.starmap(fn, [tasks[i] for i in split], chunksize=1)
-        for i, part in zip(split, parts):
-            results[i] = part
-    return results
-
-
 def _partition(n: int, connected: Optional[bool], witnesses: bool,
                prefix: tuple[int, ...]) -> tuple[dict, dict]:
     """({walk key: [first graph, graph count]}, {(d, D): [least (R, graph6),
@@ -283,6 +267,30 @@ def _cap_jobs(jobs: int) -> int:
         return min(jobs, os.cpu_count() or 1)
 
 
+def _pool_map(fn: Callable, tasks: Iterable[tuple], jobs: int) -> Iterator:
+    """fn(*task) for every task, in task order: lazily in this process for
+    at most one job, else on a pool of ``jobs`` worker processes, each task
+    on its own, with at most 2 * jobs tasks in flight, so that tasks are
+    read only as results are taken.  A worker that dies breaks the pool:
+    the next result raises BrokenProcessPool instead of waiting for good.
+    Closing the generator cancels the tasks no worker has started."""
+    if jobs <= 1:
+        yield from starmap(fn, tasks)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # 20-35 ms to import
+    tasks = iter(tasks)
+    pool = ProcessPoolExecutor(jobs)
+    try:
+        pending = deque(pool.submit(fn, *task)
+                        for task in islice(tasks, 2 * jobs))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, *task) for task in islice(tasks, 1))
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _prefix_tasks(n: int, jobs: int) -> list[tuple[int, ...]]:
     """The prefixes that split n's walk for ``jobs`` workers: [()] (one
     unsplit walk, in the calling process) for one job or n <=
@@ -299,17 +307,25 @@ def _fold(n_max: int, jobs: int, connected: Optional[bool],
     """Walk every n in [2, n_max], split for up to ``jobs`` workers, and
     merge the partitions: (n, walk key) -> [first graph, graph count], and
     (n, d, D) -> [least (R, graph6), least (-R, graph6)] for each class with
-    d < D when ``witnesses`` is true.  Tasks run in enumeration order, so
-    each key keeps its first graph and the keys stay in order of first
-    appearance."""
+    d < D when ``witnesses`` is true.  Partitions merge in enumeration
+    order, so each key keeps its first graph and the keys stay in order of
+    first appearance."""
     if not 1 <= n_max <= MAX_VERTICES:
         raise ValueError(f"n_max must be in [1, {MAX_VERTICES}], got {n_max}")
     jobs = _cap_jobs(jobs)
     tasks = [(n, connected, witnesses, prefix) for n in range(2, n_max + 1)
              for prefix in _prefix_tasks(n, jobs)]
+    # the unsplit tasks, which come first, run in this process; the split
+    # ones (n > _UNSPLIT_MAX_N) go to the pool last first, since the
+    # degree-sorted walk puts the largest degrees on the lowest labels and so
+    # its heaviest partitions come last in prefix order
+    results = [_partition(*task) for task in tasks if not task[-1]]
+    split = tasks[len(results):]
+    results += reversed(list(_pool_map(_partition, split[::-1],
+                                       min(jobs, len(split)))))
     keyed: dict[tuple[int, int], list] = {}
     extremes: dict[tuple[int, int, int], list] = {}
-    for (n, *_), (keys, part) in zip(tasks, _run(_partition, tasks, jobs)):
+    for (n, *_), (keys, part) in zip(tasks, results):
         for key, (g, graphs) in keys.items():
             keyed.setdefault((n, key), [g, 0])[1] += graphs
         for (d, D), (low, high) in part.items():

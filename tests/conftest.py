@@ -10,16 +10,22 @@ integer sign tests.
 from __future__ import annotations
 
 import collections
+import concurrent.futures
 import itertools
 import math
-import multiprocessing
+import os
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 import pytest
 
 import randic.enumeration
 from randic import Graph
+
+#: The environment of a subprocess that imports randic from this checkout.
+SRC_ENV = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
 def naive_graphs(n: int, connected: Optional[bool] = None,
@@ -187,16 +193,16 @@ def k23() -> Graph:
 def started_pools(monkeypatch) -> list[int]:
     """Let this process run on 2 CPUs, split n = 7 as the first n worth a
     pool, so that a real pool is tested in seconds rather than on n = 8,
-    and record the size of every multiprocessing.Pool started, each a real
-    pool; returns that list."""
+    and record the size of every pool that ``enumeration._pool_map``
+    starts, each a real ProcessPoolExecutor; returns that list."""
     started = []
-    pool = multiprocessing.Pool
+    executor = concurrent.futures.ProcessPoolExecutor
 
-    def spy(processes):
-        started.append(processes)
-        return pool(processes)
+    def spy(max_workers):
+        started.append(max_workers)
+        return executor(max_workers)
 
-    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     monkeypatch.setattr(randic.enumeration.os, "sched_getaffinity",
                         lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(randic.enumeration, "_UNSPLIT_MAX_N", 6)

@@ -1,10 +1,8 @@
 import io
 import json
 import multiprocessing
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -14,6 +12,8 @@ import randic.cli
 import randic.enumeration
 from randic.cli import main
 from randic.enumeration import VerificationReport
+
+from conftest import SRC_ENV
 
 
 STAR4_EDGELIST = "4\n0 1\n0 2\n0 3\n"
@@ -387,6 +387,28 @@ def test_pool_without_graphs_prints_no_header(capsys, monkeypatch,
     assert started_pools == [2]
 
 
+def test_dead_worker_ends_the_run():
+    # a lower sign helper that exits kills each worker that evaluates a
+    # graph that is not regular; input of three chunks puts every graph on
+    # the 2-worker pool, so the run ends with exit 1 and BrokenProcessPool,
+    # its workers stopped, before the timeout, and prints no row
+    code = ("import multiprocessing, os, sys, randic.bounds, randic.cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "randic.bounds._lower_sign = lambda pairs, d, D: os._exit(1)\n"
+            "try:\n"
+            "    randic.cli.main(['bounds', '--format', 'graph6'])\n"
+            "finally:\n"
+            "    print(multiprocessing.active_children(), file=sys.stderr)")
+    stdin = "Ch\n" * randic.cli._CHUNK_BYTES  # 3 bytes a line
+    proc = subprocess.run([sys.executable, "-c", code], env=SRC_ENV,
+                          input=stdin, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("[]\n")
+    assert proc.stderr.splitlines()[-1].startswith(
+        "concurrent.futures.process.BrokenProcessPool: ")
+
+
 # ── construct ─────────────────────────────────────────────────────────
 
 def test_construct_family_streams_graph6(capsys):
@@ -531,18 +553,18 @@ def test_jobs_below_one_exits_2(capsys, command, jobs):
 def test_import_leaves_multiprocessing_unloaded():
     # the pool is imported only by a run that starts one, so construct, a
     # verify or scan at n <= 7, bounds and compute on an edge list or on
-    # graph6 input of one chunk never pay for it; the records are
-    # NamedTuples, so no run pays for dataclasses either, whose frozen
+    # graph6 input of one chunk never pay for it, neither for the executor
+    # (concurrent.futures) nor for the multiprocessing under it; the records
+    # are NamedTuples, so no run pays for dataclasses either, whose frozen
     # classes each build six methods with exec at import
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     code = ("import sys, randic.cli\n"
             "if sys.argv[1:]: assert randic.cli.main(sys.argv[1:]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith("
-            "'multiprocessing') or m == 'dataclasses'), file=sys.stderr)")
+            "print(sorted(m for m in sys.modules if m.startswith(("
+            "'multiprocessing', 'concurrent')) or m == 'dataclasses'), "
+            "file=sys.stderr)")
     for argv, stdin in (([], ""), (["bounds", "--format", "graph6"], "Cs\n"),
                         (["bounds"], STAR4_EDGELIST)):
-        err = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+        err = subprocess.run([sys.executable, "-c", code, *argv], env=SRC_ENV,
                              check=True, input=stdin, capture_output=True,
                              text=True, timeout=60).stderr
         assert err == "[]\n", argv

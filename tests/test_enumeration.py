@@ -1,6 +1,8 @@
+import concurrent.futures
 import itertools
 import math
-import multiprocessing
+import subprocess
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -16,7 +18,8 @@ from randic import (DegreeChainCertificate, EnumerationSummary,
                     to_graph6, upper_bound, verify_theorems)
 from randic.enumeration import CheckResult, _walk
 
-from conftest import _naive_connected, complete_bipartite, naive_graphs, star
+from conftest import (SRC_ENV, _naive_connected, complete_bipartite,
+                      naive_graphs, star)
 
 
 # ── Generator counts and oracle equivalence ───────────────────────────
@@ -306,28 +309,28 @@ def test_verify_and_scan_count_the_same_graphs(n_max, jobs):
 def _record_pools(monkeypatch, cpus, unsplit_max_n=6):
     """Let this process run on ``cpus`` CPUs, split every n above
     ``unsplit_max_n`` (6 by default, so that n = 7 exercises the split in
-    seconds), and replace multiprocessing.Pool by a stand-in that runs its
-    tasks inline, in the order it receives them, so no process is started;
-    returns the list the stand-in appends (pool size, chunksize, task
-    prefixes in the order received) to."""
+    seconds), and replace ProcessPoolExecutor by a stand-in that runs each
+    task inline as it is submitted, so no process is started; returns the
+    list the stand-in appends (pool size, task prefixes in the order
+    submitted) to."""
     pools = []
 
-    class RecordingPool:
-        def __init__(self, processes):
-            self.processes = processes
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            self.prefixes = []
+            pools.append((max_workers, self.prefixes))
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, *task):
+            self.prefixes.append(task[-1])
+            future = concurrent.futures.Future()
+            future.set_result(fn(*task))
+            return future
 
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
 
-        def starmap(self, fn, tasks, chunksize=None):
-            pools.append((self.processes, chunksize,
-                          [task[-1] for task in tasks]))
-            return [fn(*task) for task in tasks]
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingExecutor)
     monkeypatch.setattr(randic.enumeration.os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(randic.enumeration, "_UNSPLIT_MAX_N", unsplit_max_n)
@@ -341,11 +344,51 @@ def test_pool_never_larger_than_task_list(monkeypatch):
     assert verify_theorems(7, jobs=64) == verify_theorems(7)
     assert extremal_scan(7, jobs=64) == extremal_scan(7)
     assert pools == []
-    # only the split tasks go to the pool, which they bound, last first; the
-    # results come back in task order
-    tasks = [(7, (0,)), (5, ()), (7, (1,))]
-    assert randic.enumeration._run(lambda *task: task, tasks, 64) == tasks
-    assert pools == [(2, 1, [(1,), (0,)])]
+    # split from n = 2 on, n = 2 has two prefix tasks, which bound the
+    # pool and go to it last first
+    monkeypatch.setattr(randic.enumeration, "_UNSPLIT_MAX_N", 1)
+    assert verify_theorems(2, jobs=64) == verify_theorems(2)
+    assert pools == [(2, [(1,), (0,)])]
+
+
+def test_pool_map_keeps_task_order_and_reads_tasks_lazily(monkeypatch):
+    pools = _record_pools(monkeypatch, cpus=64)
+    tasks = [(7, (0,)), (5, ()), (7, (1,))] * 3
+    read = []
+
+    def stream():
+        for task in tasks:
+            read.append(task)
+            yield task
+
+    def echo(*task):
+        return task
+
+    # one job runs the tasks here, one at a time as results are taken
+    results = randic.enumeration._pool_map(echo, stream(), 1)
+    assert next(results) == tasks[0] and len(read) == 1
+    assert [tasks[0], *results] == tasks
+    assert pools == []
+    # a pool of 2 holds at most 4 tasks in flight, handed out one at a time
+    # in task order; the results come back in task order
+    read.clear()
+    results = randic.enumeration._pool_map(echo, stream(), 2)
+    assert next(results) == tasks[0] and len(read) == 5
+    assert [tasks[0], *results] == tasks
+    assert pools == [(2, [task[-1] for task in tasks])]
+
+
+def test_dead_worker_breaks_the_pool():
+    # a worker that exits takes its task's result with it; the runner raises
+    # BrokenProcessPool on the next result rather than waiting for it for
+    # good, which the timeout would turn into a failure here
+    code = ("import os\n"
+            "from randic.enumeration import _pool_map\n"
+            "list(_pool_map(os._exit, [(1,)] * 3, 2))")
+    proc = subprocess.run([sys.executable, "-c", code], env=SRC_ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "BrokenProcessPool" in proc.stderr
 
 
 @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu-count"])
@@ -363,7 +406,7 @@ def test_jobs_capped_at_usable_cpus(monkeypatch, affinity):
     # the last, the all-ones prefix, whose partition is the heaviest
     last_first = list(itertools.product((0, 1), repeat=4))[::-1]
     assert last_first[0] == (1, 1, 1, 1)
-    assert pools == [(3, 1, last_first)] * 4
+    assert pools == [(3, last_first)] * 4
 
 
 def test_pool_matches_one_process(monkeypatch, started_pools):
