@@ -55,19 +55,13 @@ def _cell(x) -> str:
     return str(int(x) if isinstance(x, bool) else x)
 
 
-#: The item types of a list or tuple that _json_ready passes on as it is.
-_JSON_PLAIN = frozenset((int, str, bool, type(None)))
-
-
 def _json_ready(obj):
-    """Round floats to 15 significant digits so JSON output is stable.  Only
-    floats change, so a list or tuple of ints, strings, flags and None (a
-    certificate's parts) is passed on as it is, without a call per item."""
+    """Round floats to 15 significant digits so JSON output is stable."""
     if isinstance(obj, float):
         return float(_fmt(obj))
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)) and not _JSON_PLAIN.issuperset(map(type, obj)):
+    if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
     return obj
 

@@ -36,11 +36,12 @@ counterexample.  The scan's witnesses are each class's least (R, graph6) and
 The walk can be partitioned by fixing the first k edge bits; partitions are
 processed independently, their key counts summed and their witness pairs
 merged by min, so results do not depend on the worker count.  An n whose
-whole walk costs less than starting a pool (n <= 7) is not partitioned and
-runs in the calling process; the partitions of a larger n go, heaviest
-first, to ``_pool_map``, the one pool runner, which the CLI's graph6 reader
-shares.  It yields results in task order, and a worker that dies ends the
-run with BrokenProcessPool rather than leaving it waiting for good.
+whole walk costs less than starting a pool (n <= 7) is not partitioned,
+and a run with no partitioned n starts no pool; otherwise every task, the
+small n's whole walks too, goes to the workers, heaviest first, through
+``_pool_map``, the one pool runner, which the CLI's graph6 reader shares.
+It yields results in task order, and a worker that dies ends the run with
+BrokenProcessPool rather than leaving it waiting for good.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ from .index import IDENTITY_TOLERANCE, randic_deviation, randic_direct
 #: CPU-s) for ``verify --max-n 8``.
 MAX_VERTICES = 9
 
-#: The largest n whose degree-sorted walk runs whole in the calling process,
-#: whatever the job count: on n = 7 (15,822 leaves, about 0.17 s CPU) a
+#: The largest n whose degree-sorted walk is never split, so that a run up
+#: to it starts no pool: on n = 7 (15,822 leaves, about 0.17 s CPU) a
 #: 2-worker pool spent 17-31% more CPU than one process for at most 12% less
 #: wall, and one worker per CPU would cost more; n = 8 (585,786 leaves) is
 #: the first worth splitting.
@@ -293,8 +294,8 @@ def _pool_map(fn: Callable, tasks: Iterable[tuple], jobs: int) -> Iterator:
 
 def _prefix_tasks(n: int, jobs: int) -> list[tuple[int, ...]]:
     """The prefixes that split n's walk for ``jobs`` workers: [()] (one
-    unsplit walk, in the calling process) for one job or n <=
-    _UNSPLIT_MAX_N, else every k-bit prefix, at least 4 per job."""
+    unsplit walk) for one job or n <= _UNSPLIT_MAX_N, else every k-bit
+    prefix, at least 4 per job."""
     if jobs <= 1 or n <= _UNSPLIT_MAX_N:
         return [()]
     k = min(n * (n - 1) // 2, (4 * jobs - 1).bit_length())
@@ -315,14 +316,12 @@ def _fold(n_max: int, jobs: int, connected: Optional[bool],
     jobs = _cap_jobs(jobs)
     tasks = [(n, connected, witnesses, prefix) for n in range(2, n_max + 1)
              for prefix in _prefix_tasks(n, jobs)]
-    # the unsplit tasks, which come first, run in this process; the split
-    # ones (n > _UNSPLIT_MAX_N) go to the pool last first, since the
-    # degree-sorted walk puts the largest degrees on the lowest labels and so
-    # its heaviest partitions come last in prefix order
-    results = [_partition(*task) for task in tasks if not task[-1]]
-    split = tasks[len(results):]
-    results += reversed(list(_pool_map(_partition, split[::-1],
-                                       min(jobs, len(split)))))
+    # every task goes to _pool_map last first: a larger n is heavier, and
+    # the degree-sorted walk puts the largest degrees on the lowest labels,
+    # so an n's heaviest partitions come last in prefix order.  A pool
+    # starts only when some n was split (n > _UNSPLIT_MAX_N).
+    jobs = min(jobs, len(tasks)) if any(task[-1] for task in tasks) else 1
+    results = reversed(list(_pool_map(_partition, tasks[::-1], jobs)))
     keyed: dict[tuple[int, int], list] = {}
     extremes: dict[tuple[int, int, int], list] = {}
     for (n, *_), (keys, part) in zip(tasks, results):

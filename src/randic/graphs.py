@@ -23,15 +23,6 @@ class GraphFormatError(ValueError):
     """Raised when a graph file or string cannot be parsed."""
 
 
-class _Columns(NamedTuple):
-    """Edges handed to Graph as two columns, edge k being (us[k], vs[k]):
-    how the edge-list parsers pass the edges they checked as they read them,
-    0 <= u < v < n and sorted with no duplicate, which Graph keeps as given."""
-
-    us: array | tuple
-    vs: array | tuple
-
-
 class Graph:
     """Immutable simple graph: vertex count plus its edges as two columns.
 
@@ -42,9 +33,9 @@ class Graph:
     pairs is accepted; edges are normalized to ``(min, max)`` and sorted.
     Self-loops, duplicates, out-of-range labels and an ``n`` or label that
     is not an ``int`` are rejected, a ``bool`` too: ``format_edge_list``
-    would write it as "True" or "False".  ``_Columns``, which only the
-    edge-list parsers pass, were checked where they were read and are kept
-    as given.
+    would write it as "True" or "False".  This is the one checked way in;
+    the readers in this package build through ``_graph_unchecked``, since
+    their columns are checked where they are read or valid by construction.
 
     ``edges``, the sorted tuple of pairs, is built on first use: the columns
     are the one copy of the edges, and the readers in this package read
@@ -70,9 +61,8 @@ class Graph:
             raise ValueError(f"vertex count {n!r} is a {type(n).__name__}, not an int")
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        if not isinstance(edges, _Columns):
-            edges = _columns(_normalized(n, edges))
-        vars(self).update(_us=edges[0], _vs=edges[1])
+        us, vs = _columns(_normalized(n, edges))
+        vars(self).update(_us=us, _vs=vs)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to Graph attribute {name!r}")
@@ -177,11 +167,12 @@ def _normalized(n: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
     return tuple(norm)
 
 
-def _graph_unchecked(n: int, us: tuple, vs: tuple,
+def _graph_unchecked(n: int, us: array | tuple, vs: array | tuple,
                      degrees: Optional[tuple[int, ...]] = None) -> Graph:
-    # Fast path for the enumerator, parse_graph6 and relabel, whose columns
-    # are sorted and valid by construction; the degrees the enumerator
-    # already knows are seeded into their cache.
+    # No check: the edge-list parsers checked their columns as they read
+    # them, and those of the enumerator, parse_graph6 and relabel are
+    # sorted and valid by construction.  The degrees the enumerator already
+    # knows are seeded into their cache.
     g = object.__new__(Graph)
     vars(g).update(n=n, _us=us, _vs=vs)
     if degrees is not None:
@@ -247,7 +238,7 @@ _EDGE_LIST_CHUNK = 1 << 20
 def _parse_edge_list_bulk(text: str) -> Optional[Graph]:
     # None refuses the text: a malformed line, a label int() or the int64
     # buffer cannot hold, an out-of-range label, a self-loop or a duplicate
-    # edge; the checks here are the only ones, and Graph keeps the columns
+    # edge; the checks here are the only ones, and the columns are kept as built
     head = _EDGE_LIST_HEAD.match(text)
     if head is None or _EDGE_LIST_BAD_LINE.search(text, head.end()):
         return None
@@ -277,8 +268,8 @@ def _parse_edge_list_bulk(text: str) -> Optional[Graph]:
     # a duplicate, in either orientation, is two equal neighbours
     if any(map(eq, keys, islice(keys, 1, None))):
         return None
-    g = Graph(n, _Columns(array("q", map(floordiv, keys, repeat(n))),
-                          array("q", map(mod, keys, repeat(n)))))
+    g = _graph_unchecked(n, array("q", map(floordiv, keys, repeat(n))),
+                         array("q", map(mod, keys, repeat(n))))
     del keys
     if n <= 2 * g.m:
         g.degrees  # counted here, so that a parsed graph has its degrees
@@ -330,7 +321,7 @@ def _parse_edge_list_lines(text: str) -> Graph:
     if n is None:
         raise GraphFormatError("empty input: missing vertex count line")
     edges.sort()
-    return Graph(n, _Columns(*_columns(edges)))
+    return _graph_unchecked(n, *_columns(edges))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -403,10 +403,11 @@ def test_jobs_capped_at_usable_cpus(monkeypatch, affinity):
     assert verify_theorems(7, jobs=10 ** 6) == verify_theorems(7, jobs=3)
     assert extremal_scan(7, jobs=10 ** 6) == extremal_scan(7, jobs=3)
     # 3 jobs split n = 7 into 16 prefix tasks, handed out one at a time from
-    # the last, the all-ones prefix, whose partition is the heaviest
+    # the last, the all-ones prefix, whose partition is the heaviest; the
+    # unsplit walks of n = 6 down to 2 follow them
     last_first = list(itertools.product((0, 1), repeat=4))[::-1]
     assert last_first[0] == (1, 1, 1, 1)
-    assert pools == [(3, last_first)] * 4
+    assert pools == [(3, last_first + [()] * 5)] * 4
 
 
 def test_pool_matches_one_process(monkeypatch, started_pools):
