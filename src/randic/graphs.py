@@ -23,6 +23,15 @@ class GraphFormatError(ValueError):
     """Raised when a graph file or string cannot be parsed."""
 
 
+class _Columns(NamedTuple):
+    """Edges handed to Graph as two columns, edge k being (us[k], vs[k]):
+    how the edge-list parsers pass the edges they checked as they read them,
+    0 <= u < v < n and sorted with no duplicate, which Graph keeps as given."""
+
+    us: array | tuple
+    vs: array | tuple
+
+
 class Graph:
     """Immutable simple graph: vertex count plus its edges as two columns.
 
@@ -33,9 +42,9 @@ class Graph:
     pairs is accepted; edges are normalized to ``(min, max)`` and sorted.
     Self-loops, duplicates, out-of-range labels and an ``n`` or label that
     is not an ``int`` are rejected, a ``bool`` too: ``format_edge_list``
-    would write it as "True" or "False".  This is the one checked way in;
-    the readers in this package build through ``_graph_unchecked``, since
-    their columns are checked where they are read or valid by construction.
+    would write it as "True" or "False".  ``_Columns``, which only the
+    edge-list parsers pass, were checked where they were read and are kept
+    as given.
 
     ``edges``, the sorted tuple of pairs, is built on first use: the columns
     are the one copy of the edges, and the readers in this package read
@@ -61,8 +70,9 @@ class Graph:
             raise ValueError(f"vertex count {n!r} is a {type(n).__name__}, not an int")
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        us, vs = _columns(_normalized(n, edges))
-        vars(self).update(_us=us, _vs=vs)
+        if not isinstance(edges, _Columns):
+            edges = _columns(_normalized(n, edges))
+        vars(self).update(_us=edges[0], _vs=edges[1])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to Graph attribute {name!r}")
@@ -167,12 +177,11 @@ def _normalized(n: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
     return tuple(norm)
 
 
-def _graph_unchecked(n: int, us: array | tuple, vs: array | tuple,
+def _graph_unchecked(n: int, us: tuple, vs: tuple,
                      degrees: Optional[tuple[int, ...]] = None) -> Graph:
-    # No check: the edge-list parsers checked their columns as they read
-    # them, and those of the enumerator, parse_graph6 and relabel are
-    # sorted and valid by construction.  The degrees the enumerator already
-    # knows are seeded into their cache.
+    # Fast path for the enumerator, parse_graph6 and relabel, whose columns
+    # are sorted and valid by construction; the degrees the enumerator
+    # already knows are seeded into their cache.
     g = object.__new__(Graph)
     vars(g).update(n=n, _us=us, _vs=vs)
     if degrees is not None:
@@ -238,7 +247,7 @@ _EDGE_LIST_CHUNK = 1 << 20
 def _parse_edge_list_bulk(text: str) -> Optional[Graph]:
     # None refuses the text: a malformed line, a label int() or the int64
     # buffer cannot hold, an out-of-range label, a self-loop or a duplicate
-    # edge; the checks here are the only ones, and the columns are kept as built
+    # edge; the checks here are the only ones, and Graph keeps the columns
     head = _EDGE_LIST_HEAD.match(text)
     if head is None or _EDGE_LIST_BAD_LINE.search(text, head.end()):
         return None
@@ -268,8 +277,8 @@ def _parse_edge_list_bulk(text: str) -> Optional[Graph]:
     # a duplicate, in either orientation, is two equal neighbours
     if any(map(eq, keys, islice(keys, 1, None))):
         return None
-    g = _graph_unchecked(n, array("q", map(floordiv, keys, repeat(n))),
-                         array("q", map(mod, keys, repeat(n))))
+    g = Graph(n, _Columns(array("q", map(floordiv, keys, repeat(n))),
+                          array("q", map(mod, keys, repeat(n)))))
     del keys
     if n <= 2 * g.m:
         g.degrees  # counted here, so that a parsed graph has its degrees
@@ -321,7 +330,7 @@ def _parse_edge_list_lines(text: str) -> Graph:
     if n is None:
         raise GraphFormatError("empty input: missing vertex count line")
     edges.sort()
-    return _graph_unchecked(n, *_columns(edges))
+    return Graph(n, _Columns(*_columns(edges)))
 
 
 def format_edge_list(g: Graph) -> str:
