@@ -1,24 +1,24 @@
 """Exhaustive enumeration of small graphs, extremal scans, and the batch
 verification harness.
 
-Generation walks the upper-triangle adjacency bits in graph6 order and
-skips a subtree as soon as some vertex cannot reach the minimum degree with
-its remaining undecided slots.  At each leaf the union-find of
-``is_connected`` decides connectivity on the leaf's edges.
-``enumerate_graphs`` is labeled (no isomorphism reduction) and is the oracle
-the tests compare against; a best-effort canonical relabeling is applied
-only to reported witness graphs.
+``enumerate_graphs`` filters all 2^(n(n-1)/2) labeled graphs (no
+isomorphism reduction) in graph6 bit order and shares no code with the walk
+below, which the tests compare against it.  A best-effort canonical
+relabeling is applied only to reported witness graphs.
 
 Every per-graph check of the verification, and every scan statistic but the
 extremal witnesses, is a function of n, the degree-pair histogram and
-connectivity.  At each leaf the walk therefore computes one integer key that
-encodes the histogram and connectivity.  Relabeling a graph keeps its key and
-permutes its degree vector, and it maps the graphs with degree vector s one
-to one onto those with any permutation of s.  So verify and the scan walk
-only the graphs whose degrees do not increase in label order, pruning a
-branch once some vertex can no longer reach its successor's degree, and
-weight each by n!/prod(mult!), the number of distinct permutations of its
-degree vector, where mult runs over the multiplicities of its degree values.
+connectivity.  Relabeling a graph keeps these and permutes its degree
+vector, and it maps the graphs with degree vector s one to one onto those
+with any permutation of s.  So verify and the scan walk the upper-triangle
+adjacency bits in graph6 order over only the graphs with no isolated vertex
+whose degrees do not increase in label order, pruning a branch once some
+vertex can no longer reach degree 1 or its successor's degree, and weight
+each by n!/prod(mult!), the number of distinct permutations of its degree
+vector, where mult runs over the multiplicities of its degree values.  At
+each leaf the walk decides connectivity with the union-find of
+``is_connected`` and computes one integer key that encodes the histogram
+and connectivity.
 A key's weights sum to its labeled graph count: n = 8 has 252,522,481
 graphs with no isolated vertex, 585,786 degree-sorted ones and 4,860 keys.
 
@@ -50,12 +50,12 @@ import math
 import os
 from collections import Counter, deque
 from functools import lru_cache
-from itertools import islice, starmap
+from itertools import compress, islice, product, starmap
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .bounds import bounds_report, decomposition_residual, telescope_gap
 from .constructions import build_degree_chain
-from .graphs import Graph, _columns, _graph_unchecked, _unite, to_graph6
+from .graphs import Graph, _columns, _graph_unchecked, _unite, is_connected, to_graph6
 from .index import IDENTITY_TOLERANCE, randic_deviation, randic_direct
 
 #: Hard cap on the vertex count.  n = 9 works but adds about 66.4 billion
@@ -75,14 +75,21 @@ _UNSPLIT_MAX_N = 7
 
 def enumerate_graphs(n: int, *, connected: Optional[bool] = None,
                      min_degree: Optional[int] = None) -> Iterator[Graph]:
-    """Yield every labeled simple graph on n vertices, exactly once, in a
-    fixed order (two runs produce identical streams): only the connected
-    ones if ``connected`` is True, only the disconnected ones if False, and
-    only those with every degree at least ``min_degree`` when it is given.
-    Requires 1 <= n <= MAX_VERTICES.
+    """Yield every labeled simple graph on n vertices, exactly once, in
+    graph6 bit order: only the connected ones if ``connected`` is True, only
+    the disconnected ones if False, and only those with every degree at
+    least ``min_degree`` when it is given.  Requires 1 <= n <= MAX_VERTICES.
     """
-    for edges, deg, _, _ in _walk(n, connected, min_degree, ()):
-        yield _graph_unchecked(n, *_columns(sorted(edges)), deg)
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in [1, {MAX_VERTICES}], got {n}")
+    if min_degree is not None and min_degree < 0:
+        raise ValueError(f"min_degree must be non-negative, got {min_degree}")
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for bits in product((0, 1), repeat=len(pairs)):
+        g = _graph_unchecked(n, *_columns(sorted(compress(pairs, bits))))
+        if ((min_degree is None or min(g.degrees) >= min_degree)
+                and (connected is None or is_connected(g) == connected)):
+            yield g
 
 
 @lru_cache(maxsize=None)
@@ -96,34 +103,26 @@ def _relabelings(degrees: tuple[int, ...]) -> int:
         math.factorial(c) for c in Counter(degrees).values())
 
 
-def _walk(n: int, connected: Optional[bool], min_degree: Optional[int],
-          prefix: tuple[int, ...], ordered: bool = False) -> Iterator[tuple]:
-    """The walk behind enumerate_graphs: (edges, degrees, key, weight) per
-    graph.  ``prefix`` pins the first len(prefix) adjacency bits, in graph6
-    order: only the graphs with those bits are walked.
+def _walk(n: int, connected: Optional[bool],
+          prefix: tuple[int, ...]) -> Iterator[tuple]:
+    """The walk behind verify and the scan: (edges, degrees, key, weight)
+    per graph on n >= 2 vertices with no isolated vertex whose degrees do
+    not increase in label order.  ``prefix`` pins the first len(prefix)
+    adjacency bits, in graph6 order: only the graphs with those bits are
+    walked.
 
     ``edges`` is the walk's own unsorted list, valid until the next item,
     and ``degrees`` a tuple.  ``key`` is one-to-one, for this n, with the
     degree-pair histogram and connectivity: bit 0 is set iff the graph is
     connected, and above it each degree pair i <= j has one base-(n(n-1)/2
-    + 1) digit counting its edges, which never carries.
-
-    ``ordered`` keeps only the graphs whose degrees do not increase in label
-    order, each weighted by ``_relabelings`` of its degrees, so that the
-    weights of a key sum to its labeled graph count; otherwise every graph is
-    kept, with weight 1.
+    + 1) digit counting its edges, which never carries.  ``weight`` is
+    ``_relabelings`` of the degrees, so that the weights of a key sum to its
+    labeled graph count.
     """
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count must be in [1, {MAX_VERTICES}], got {n}")
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
     total = len(pairs)
     if len(prefix) > total or any(b not in (0, 1) for b in prefix):
         raise ValueError(f"prefix must be at most {total} bits of 0/1")
-    lo = 0 if min_degree is None else min_degree
-    if lo < 0:
-        raise ValueError(f"min_degree must be non-negative, got {lo}")
-    if lo > n - 1:
-        return
     digit = [[0] * n for _ in range(n)]  # digit[i][j]: one unit of pair (i, j)
     unit = 2
     for i in range(1, n):
@@ -147,26 +146,25 @@ def _walk(n: int, connected: Optional[bool], min_degree: Optional[int],
                 for u, v in edges:
                     key += digit[deg[u]][deg[v]]
                 degrees = tuple(deg[:n])
-                yield edges, degrees, key, _relabelings(degrees) if ordered else 1
+                yield edges, degrees, key, _relabelings(degrees)
             return
         u, v = pairs[t]
         ru = rem[u] = rem[u] - 1
         rv = rem[v] = rem[v] - 1
         du, dv = deg[u], deg[v]
         bit = pin[t]
-        # deg[a] + rem[a] >= lo holds for every a on entry (n - 1 at the
-        # root): leaving (u, v) out lowers it at u and v only, putting it in
-        # keeps it.  When ordered, so does deg[a] + rem[a] >= deg[a + 1],
-        # which at a leaf, where rem is 0, says the degrees do not increase;
-        # putting (u, v) in raises deg at u and v only.
-        if bit != 1 and du + ru >= lo and dv + rv >= lo and not (ordered and (
-                du + ru < deg[u + 1] or dv + rv < deg[v + 1])):
+        # deg[a] + rem[a] > 0 and deg[a] + rem[a] >= deg[a + 1] hold for
+        # every a on entry: leaving (u, v) out lowers deg + rem at u and v
+        # only; putting it in keeps deg + rem but raises deg at u and v,
+        # which u - 1 and v - 1 read.  At a leaf, where rem is 0, they say
+        # that no vertex is isolated and the degrees do not increase.
+        if (bit != 1 and du + ru > 0 and dv + rv > 0
+                and du + ru >= deg[u + 1] and dv + rv >= deg[v + 1]):
             yield from rec(t + 1)
         if bit != 0:
             deg[u] = du + 1
             deg[v] = dv + 1
-            if not (ordered and (deg[u - 1] + rem[u - 1] <= du
-                                 or deg[v - 1] + rem[v - 1] <= dv)):
+            if deg[u - 1] + rem[u - 1] > du and deg[v - 1] + rem[v - 1] > dv:
                 edges.append((u, v))
                 yield from rec(t + 1)
                 edges.pop()
@@ -235,7 +233,7 @@ def _partition(n: int, connected: Optional[bool], witnesses: bool,
     # class, and for every key when no witnesses are wanted
     keyed: dict[int, list] = {}
     extremes: dict[tuple[int, int], list] = {}
-    for edges, deg, key, weight in _walk(n, connected, 1, prefix, ordered=True):
+    for edges, deg, key, weight in _walk(n, connected, prefix):
         g = None
         entry = keyed.get(key)
         if entry is None:

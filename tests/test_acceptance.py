@@ -14,7 +14,7 @@ from math import comb, gcd
 
 import pytest
 
-from randic import (IDENTITY_TOLERANCE, bounds_report, build_biregular,
+from randic import (IDENTITY_TOLERANCE, Graph, bounds_report, build_biregular,
                     build_degree_chain, baseline_bound, extremal_scan,
                     lower_bound, parse_graph6, randic_direct, to_graph6,
                     upper_bound, verify_theorems)
@@ -157,12 +157,23 @@ def test_criterion_9a_graph6_roundtrip():
 
 
 def test_criterion_9b_pruned_vs_naive():
-    from randic import enumerate_graphs
-    for n in range(1, 6):
-        assert set(enumerate_graphs(n)) == set(naive_graphs(n))
-        assert (set(enumerate_graphs(n, connected=True, min_degree=1))
-                == set(naive_graphs(n, connected=True, min_degree=1)))
-    _passed("9b pruned enumeration equals naive filter-after-generate, n<=5")
+    # the pruned degree-sorted walk against filter-after-generate: its
+    # leaves are the naive graphs with no isolated vertex whose degrees do
+    # not increase in label order, and its weights count all naive graphs
+    from randic.enumeration import _walk
+    for n in range(2, 6):
+        for connected in (None, True):
+            naive = list(naive_graphs(n, connected=connected, min_degree=1))
+            leaves, weights = [], 0
+            for edges, _, _, weight in _walk(n, connected, ()):
+                leaves.append(to_graph6(Graph(n, edges)))
+                weights += weight
+            assert sorted(leaves) == sorted(
+                to_graph6(g) for g in naive
+                if all(a >= b for a, b in zip(g.degrees, g.degrees[1:])))
+            assert weights == len(naive)
+    _passed("9b pruned degree-sorted walk equals naive filter-after-generate "
+            "on its leaves and weights, n<=5")
 
 
 def test_criterion_9c_worker_invariance(started_pools):

@@ -43,45 +43,52 @@ def test_seeded_connectivity_matches_naive():
                 assert is_connected(g) == _naive_connected(n, g.edges)
 
 
+def _fact(n, edges):
+    # (per-edge degree-pair counts, connected), computed naively
+    deg = Counter(v for e in edges for v in e)
+    return (frozenset(Counter(tuple(sorted((deg[u], deg[v])))
+                              for u, v in edges).items()),
+            _naive_connected(n, edges))
+
+
 def test_walk_key_is_histogram_and_connectivity():
     # the key is one-to-one with (per-edge degree-pair counts, connected)
-    for n in range(1, 7):
-        for min_degree in (None, 1):
-            by_key, by_fact = {}, {}
-            for edges, _, key, _ in _walk(n, None, min_degree, ()):
-                deg = Counter(v for e in edges for v in e)
-                fact = (frozenset(Counter(tuple(sorted((deg[u], deg[v])))
-                                          for u, v in edges).items()),
-                        _naive_connected(n, edges))
-                assert by_key.setdefault(key, fact) == fact
-                assert by_fact.setdefault(fact, key) == key
+    for n in range(2, 7):
+        by_key, by_fact = {}, {}
+        for edges, _, key, _ in _walk(n, None, ()):
+            fact = _fact(n, edges)
+            assert by_key.setdefault(key, fact) == fact
+            assert by_fact.setdefault(fact, key) == key
 
 
 def _non_increasing(degrees):
     return all(a >= b for a, b in zip(degrees, degrees[1:]))
 
 
+def _enumeration_order(g):
+    # graph6 bit order: the adjacency bits in graph6 pair order, 0 before 1
+    present = set(g.edges)
+    return tuple((i, j) in present for j in range(1, g.n) for i in range(j))
+
+
 @pytest.mark.parametrize("connected", [None, True])
 def test_sorted_walk_is_labeled_walk_with_sorted_degrees(connected):
-    # the degree-sorted walk yields, in order, the labeled walk's graphs whose
-    # degrees do not increase in label order, and its weights sum per key to
-    # the labeled walk's graph counts
-    for n in range(1, 7):
-        for min_degree in (None, 1):
-            labeled, expected = Counter(), []
-            for edges, deg, key, weight in _walk(n, connected, min_degree,
-                                                 ()):
-                assert weight == 1
-                labeled[key] += 1
-                if _non_increasing(deg):
-                    expected.append((sorted(edges), deg, key))
-            weighted, leaves = Counter(), []
-            for edges, deg, key, weight in _walk(n, connected, min_degree,
-                                                 (), ordered=True):
-                weighted[key] += weight
-                leaves.append((sorted(edges), deg, key))
-            assert leaves == expected
-            assert weighted == labeled
+    # the walk yields, in order, the labeled graphs with no isolated vertex
+    # whose degrees do not increase in label order, and its weights sum, per
+    # degree-pair histogram and connectivity, to all those labeled graphs'
+    # counts; enumerate_graphs, a plain filter, is the labeled stream
+    for n in range(2, 7):
+        labeled, expected = Counter(), []
+        for g in enumerate_graphs(n, connected=connected, min_degree=1):
+            labeled[_fact(n, g.edges)] += 1
+            if _non_increasing(g.degrees):
+                expected.append((g.edges, g.degrees))
+        weighted, leaves = Counter(), []
+        for edges, deg, _, weight in _walk(n, connected, ()):
+            weighted[_fact(n, edges)] += weight
+            leaves.append((tuple(sorted(edges)), deg))
+        assert leaves == expected
+        assert weighted == labeled
 
 
 def test_sorted_walk_weights_count_labeled_graphs():
@@ -90,8 +97,7 @@ def test_sorted_walk_weights_count_labeled_graphs():
     for connected, counts in (
             (None, [1, 4, 41, 768, 27449, 1887284]),
             (True, [1, 4, 38, 728, 26704, 1866256])):
-        assert [sum(weight for *_, weight in _walk(n, connected, 1, (),
-                                                   ordered=True))
+        assert [sum(weight for *_, weight in _walk(n, connected, ()))
                 for n in range(2, 8)] == counts
 
 
@@ -101,18 +107,28 @@ def test_min_degree_counts():
     assert sum(1 for _ in enumerate_graphs(5, min_degree=1)) == 768
 
 
-@pytest.mark.parametrize("constraints", [
+_CONSTRAINTS = [
     {},
     {"connected": True},
     {"connected": False},
     {"min_degree": 1},
     {"min_degree": 2},
-])
+]
+
+
+@pytest.mark.parametrize("constraints", _CONSTRAINTS)
 def test_pruned_equals_naive_filter(constraints):
     for n in range(1, 6):
         pruned = set(enumerate_graphs(n, **constraints))
         naive = set(naive_graphs(n, **constraints))
         assert pruned == naive
+
+
+@pytest.mark.parametrize("constraints", _CONSTRAINTS)
+def test_stream_in_graph6_bit_order(constraints):
+    for n in range(1, 6):
+        assert list(enumerate_graphs(n, **constraints)) == sorted(
+            naive_graphs(n, **constraints), key=_enumeration_order)
 
 
 def test_each_graph_yielded_once():
@@ -146,18 +162,18 @@ def test_negative_min_degree_refused():
         list(enumerate_graphs(3, min_degree=-1))
 
 
-def _walk_items(n, connected, min_degree, prefix, ordered):
+def _walk_items(n, connected, prefix):
     # the walk's items, each with a copy of its edge list
     return [(tuple(edges), deg, key, weight) for edges, deg, key, weight
-            in _walk(n, connected, min_degree, prefix, ordered)]
+            in _walk(n, connected, prefix)]
 
 
 def test_prefix_partitions_cover_disjointly():
-    full = set(_walk_items(4, None, 1, (), False))
+    full = set(_walk_items(4, None, ()))
     parts = []
     for idx in range(8):
         prefix = tuple((idx >> (2 - b)) & 1 for b in range(3))
-        parts.append(set(_walk_items(4, None, 1, prefix, False)))
+        parts.append(set(_walk_items(4, None, prefix)))
     union = set()
     for part in parts:
         assert not (union & part)
@@ -165,40 +181,35 @@ def test_prefix_partitions_cover_disjointly():
     assert union == full
 
 
-@pytest.mark.parametrize("ordered", [False, True], ids=["labeled", "sorted"])
-def test_pinned_walk_is_unpinned_walk_with_those_first_bits(ordered):
+def test_pinned_walk_is_unpinned_walk_with_those_first_bits():
     # a prefix pins the first bits, in graph6 pair order, and nothing else:
     # the pinned walk yields, in order, the unpinned walk's items whose
     # first bits match, and the connected filter keeps the graphs the
     # naive search calls connected, the key's bit 0
-    for n in range(1, 7):
+    for n in range(2, 7):
         pairs = [(i, j) for j in range(1, n) for i in range(j)]
         prefixes = [prefix for k in range(1, min(3, len(pairs)) + 1)
                     for prefix in itertools.product((0, 1), repeat=k)]
-        for min_degree in (None, 1):
-            every = _walk_items(n, None, min_degree, (), ordered)
-            linked = [_naive_connected(n, edges) for edges, *_ in every]
-            assert [key & 1 for _, _, key, _ in every] == linked
-            # each item's first three bits
-            heads = [tuple(int(e in edges) for e in pairs[:3])
-                     for edges, *_ in every]
-            for connected in (None, True, False):
-                kept = [i for i, c in enumerate(linked)
-                        if connected in (None, c)]
-                assert _walk_items(n, connected, min_degree, (), ordered) == [
-                    every[i] for i in kept]
-                for prefix in prefixes:
-                    assert _walk_items(n, connected, min_degree, prefix,
-                                       ordered) == [
-                        every[i] for i in kept
-                        if heads[i][:len(prefix)] == prefix]
+        every = _walk_items(n, None, ())
+        linked = [_naive_connected(n, edges) for edges, *_ in every]
+        assert [key & 1 for _, _, key, _ in every] == linked
+        # each item's first three bits
+        heads = [tuple(int(e in edges) for e in pairs[:3])
+                 for edges, *_ in every]
+        for connected in (None, True, False):
+            kept = [i for i, c in enumerate(linked) if connected in (None, c)]
+            assert _walk_items(n, connected, ()) == [every[i] for i in kept]
+            for prefix in prefixes:
+                assert _walk_items(n, connected, prefix) == [
+                    every[i] for i in kept
+                    if heads[i][:len(prefix)] == prefix]
 
 
 def test_prefix_validation():
     with pytest.raises(ValueError):
-        list(_walk(3, None, None, (0, 1, 0, 1)))
+        list(_walk(3, None, (0, 1, 0, 1)))
     with pytest.raises(ValueError):
-        list(_walk(3, None, None, (2,)))
+        list(_walk(3, None, (2,)))
 
 
 # ── Canonical witness form ────────────────────────────────────────────
@@ -506,12 +517,6 @@ _CHECKS = ("identity", "decomposition", "lower-bound", "lower-equality",
            "upper-bound", "upper-equality", "star-baseline")
 
 
-def _enumeration_order(g):
-    # the enumerator walks the graph6 adjacency bits depth-first, 0 before 1
-    present = set(g.edges)
-    return tuple((i, j) in present for j in range(1, g.n) for i in range(j))
-
-
 @pytest.fixture(scope="module")
 def direct_facts():
     """Every graph with 2 <= n <= 6 and no isolated vertex, from the naive
@@ -554,8 +559,9 @@ _SIGNS = _faults(lower=0, upper=1)     # lower on even m, upper on odd m
 
 
 def _inject(monkeypatch, faults):
-    """Patch the library so that each fault hits the keys it chooses; the
-    pool forks, so its workers see the patch too."""
+    """Patch the library so that each fault hits the keys it chooses.
+    Verify and the scan run every ``bounds_report`` in the parent, so no
+    pool worker reads these patches."""
     direct = randic.bounds.randic_direct
     lower, upper = randic.bounds._lower_sign, randic.bounds._upper_sign
 
@@ -703,8 +709,9 @@ def test_scan_matches_direct_evaluation(direct_facts, monkeypatch,
 def test_upper_equality_counted_per_graph(direct_facts, monkeypatch):
     # no graph with n <= 6 carries a chain certificate, so grant one to
     # every graph: each connected graph with d < D is then a witness, and
-    # upper-equality fails wherever the upper slack is not zero; the pool
-    # forks, so its workers see the patch too
+    # upper-equality fails wherever the upper slack is not zero.  Verify and
+    # the scan run every bounds_report in the parent, so no worker reads the
+    # patch, and n = 6 starts no pool: the jobs=2 legs run in one process
     monkeypatch.setattr(randic.bounds, "degree_chain_certificate",
                         lambda g: DegreeChainCertificate(*g.degree_range, ()))
     chained = [SimpleNamespace(**{**vars(f), "chain": True}) if f.d < f.D
