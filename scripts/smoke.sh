@@ -26,8 +26,8 @@ randic enumerate --max-n 5 --connected --json
 # says; n = 8 is the first split across the pool, which by default has
 # one worker per usable CPU and then walks the small n too, so the
 # n = 8 cmp below also covers the small n run in the workers.  The
-# connected filter is decided at every leaf of the walk by the
-# union-find.
+# walk decides connectivity at every leaf by the union-find, as bit 0
+# of its key, and the connected scan keeps the keys with that bit set.
 for cmd in enumerate "enumerate --connected" verify; do
   randic $cmd --max-n 7 --json --jobs 1 > "$tmp/jobs-1.json"
   randic $cmd --max-n 7 --json --jobs 2 > "$tmp/jobs-2.json"

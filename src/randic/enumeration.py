@@ -13,9 +13,10 @@ vector, and it maps the graphs with degree vector s one to one onto those
 with any permutation of s.  So verify and the scan walk the upper-triangle
 adjacency bits in graph6 order over only the graphs with no isolated vertex
 whose degrees do not increase in label order, pruning a branch once some
-vertex can no longer reach degree 1 or its successor's degree, and weight
-each by n!/prod(mult!), the number of distinct permutations of its degree
-vector, where mult runs over the multiplicities of its degree values.  At
+vertex can no longer reach its successor's degree (the last vertex's
+successor, a sentinel, has degree 1), and weight each by n!/prod(mult!),
+the number of distinct permutations of its degree vector, where mult runs
+over the multiplicities of its degree values.  At
 each leaf the walk decides connectivity with the union-find of
 ``is_connected`` and computes one integer key that encodes the histogram
 and connectivity.
@@ -103,8 +104,7 @@ def _relabelings(degrees: tuple[int, ...]) -> int:
         math.factorial(c) for c in Counter(degrees).values())
 
 
-def _walk(n: int, connected: Optional[bool],
-          prefix: tuple[int, ...]) -> Iterator[tuple]:
+def _walk(n: int, prefix: tuple[int, ...]) -> Iterator[tuple]:
     """The walk behind verify and the scan: (edges, degrees, key, weight)
     per graph on n >= 2 vertices with no isolated vertex whose degrees do
     not increase in label order.  ``prefix`` pins the first len(prefix)
@@ -129,37 +129,34 @@ def _walk(n: int, connected: Optional[bool],
         for j in range(i, n):
             digit[i][j] = digit[j][i] = unit
             unit *= total + 1
-    # slot n is a sentinel, read as vertex n by v + 1 and as vertex -1 by
-    # u - 1, that never prunes: degree 0, and n slots still undecided
-    deg = [0] * n + [0]
+    # slot n is a sentinel, read as vertex n by v + 1 (degree 1, which
+    # vertex n - 1 must reach) and as vertex -1 by u - 1 (n slots to go)
+    deg = [0] * n + [1]
     rem = [n - 1] * n + [n]
     pin = [*prefix] + [None] * (total - len(prefix))  # None: both branches
     edges: list[tuple[int, int]] = []
 
     def rec(t: int) -> Iterator[tuple]:
         if t == total:
-            # is_connected's union-find and its refusal of m < n - 1
-            linked = (len(edges) >= n - 1
+            # bit 0: is_connected's union-find and its refusal of m < n - 1
+            key = int(len(edges) >= n - 1
                       and _unite(list(range(n)), edges, n - 1) == n - 1)
-            if connected is None or linked == connected:
-                key = int(linked)
-                for u, v in edges:
-                    key += digit[deg[u]][deg[v]]
-                degrees = tuple(deg[:n])
-                yield edges, degrees, key, _relabelings(degrees)
+            for u, v in edges:
+                key += digit[deg[u]][deg[v]]
+            degrees = tuple(deg[:n])
+            yield edges, degrees, key, _relabelings(degrees)
             return
         u, v = pairs[t]
         ru = rem[u] = rem[u] - 1
         rv = rem[v] = rem[v] - 1
         du, dv = deg[u], deg[v]
         bit = pin[t]
-        # deg[a] + rem[a] > 0 and deg[a] + rem[a] >= deg[a + 1] hold for
-        # every a on entry: leaving (u, v) out lowers deg + rem at u and v
-        # only; putting it in keeps deg + rem but raises deg at u and v,
-        # which u - 1 and v - 1 read.  At a leaf, where rem is 0, they say
-        # that no vertex is isolated and the degrees do not increase.
-        if (bit != 1 and du + ru > 0 and dv + rv > 0
-                and du + ru >= deg[u + 1] and dv + rv >= deg[v + 1]):
+        # deg[a] + rem[a] >= deg[a + 1] holds for every a on entry: leaving
+        # (u, v) out lowers deg + rem at u and v only; putting it in keeps
+        # deg + rem but raises deg at u and v, which u - 1 and v - 1 read.
+        # At a leaf, where rem is 0, it says that the degrees do not
+        # increase and, through the sentinel, that no vertex is isolated.
+        if bit != 1 and du + ru >= deg[u + 1] and dv + rv >= deg[v + 1]:
             yield from rec(t + 1)
         if bit != 0:
             deg[u] = du + 1
@@ -222,18 +219,20 @@ class EnumerationSummary(NamedTuple):
         return dict(zip(CSV_COLUMNS, self))
 
 
-def _partition(n: int, connected: Optional[bool], witnesses: bool,
+def _partition(n: int, connected: bool, witnesses: bool,
                prefix: tuple[int, ...]) -> tuple[dict, dict]:
     """({walk key: [first graph, graph count]}, {(d, D): [least (R, graph6),
     least (-R, graph6)]}) over the partition's degree-sorted graphs with no
-    isolated vertex; the second holds each class with d < D, and only when
-    ``witnesses`` is true."""
+    isolated vertex, connected if ``connected``; the second holds each class
+    with d < D, and only when ``witnesses`` is true."""
     # walk key -> [first graph, graph count, R, its class's extremes], where
     # R and the extremes are None for a regular key, which belongs to no
     # class, and for every key when no witnesses are wanted
     keyed: dict[int, list] = {}
     extremes: dict[tuple[int, int], list] = {}
-    for edges, deg, key, weight in _walk(n, connected, prefix):
+    for edges, deg, key, weight in _walk(n, prefix):
+        if connected and not key & 1:
+            continue
         g = None
         entry = keyed.get(key)
         if entry is None:
@@ -301,7 +300,7 @@ def _prefix_tasks(n: int, jobs: int) -> list[tuple[int, ...]]:
             for idx in range(2 ** k)]
 
 
-def _fold(n_max: int, jobs: int, connected: Optional[bool],
+def _fold(n_max: int, jobs: int, connected: bool,
           witnesses: bool) -> tuple[dict, dict]:
     """Walk every n in [2, n_max], split for up to ``jobs`` workers, and
     merge the partitions: (n, walk key) -> [first graph, graph count], and
@@ -335,7 +334,7 @@ def extremal_scan(n_max: int, connected_only: bool = False,
                   jobs: int = 1) -> list[EnumerationSummary]:
     """Scan all classes (n, d, D) with d < D for n <= n_max and report
     per-class extremal statistics.  Violation counts must come back zero."""
-    keyed, extremes = _fold(n_max, jobs, connected_only or None, True)
+    keyed, extremes = _fold(n_max, jobs, connected_only, True)
     # (n, d, D) -> [graphs, lower and upper violations, lower and upper
     # equality witnesses], from one report per key for the whole run
     counts = {cls: [0] * 5 for cls in extremes}
@@ -464,7 +463,7 @@ def verify_theorems(n_max: int, jobs: int = 1) -> VerificationReport:
     """Run every per-graph check over all enumerated graphs with no isolated
     vertices and 2 <= n <= n_max, plus the chain-grid and gap-positivity
     batches.  A clean run reports zero failures everywhere."""
-    keyed, _ = _fold(n_max, jobs, None, False)
+    keyed, _ = _fold(n_max, jobs, False, False)
     counts = {name: [0, 0, None] for name in _CHECK_NAMES}
     # the first failing key's first graph is the first failing degree-sorted graph
     for g, graphs in keyed.values():

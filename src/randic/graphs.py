@@ -216,11 +216,9 @@ def parse_edge_list(text: str) -> Graph:
     takes for a space (\\x0b, \\x0c, \\x1c-\\x1f), before any line is parsed.
 
     The text is parsed in bulk into a Graph's two sorted columns, with no
-    pair built per edge, and the Graph has its degrees filled in (none when
-    n > 2m, so no n-sized array is built for a graph that must have an
-    isolated vertex).  Input the bulk pass refuses, a fault or a form such
-    as "+3" that int() reads, is parsed line by line, which reports the
-    first fault in file order.
+    pair built per edge.  Input the bulk pass refuses, a fault or a form
+    such as "+3" that int() reads, is parsed line by line, which reports
+    the first fault in file order.
     """
     # int() would read "1_1" and non-ASCII digits, and split() would split
     # at a non-ASCII space or at these control bytes; the whole-text test
@@ -277,12 +275,8 @@ def _parse_edge_list_bulk(text: str) -> Optional[Graph]:
     # a duplicate, in either orientation, is two equal neighbours
     if any(map(eq, keys, islice(keys, 1, None))):
         return None
-    g = Graph(n, _Columns(array("q", map(floordiv, keys, repeat(n))),
-                          array("q", map(mod, keys, repeat(n)))))
-    del keys
-    if n <= 2 * g.m:
-        g.degrees  # counted here, so that a parsed graph has its degrees
-    return g
+    return Graph(n, _Columns(array("q", map(floordiv, keys, repeat(n))),
+                             array("q", map(mod, keys, repeat(n)))))
 
 
 def _parse_edge_list_lines(text: str) -> Graph:

@@ -198,9 +198,9 @@ def started_pools(monkeypatch) -> list[int]:
     started = []
     executor = concurrent.futures.ProcessPoolExecutor
 
-    def spy(max_workers):
+    def spy(max_workers, mp_context=None):
         started.append(max_workers)
-        return executor(max_workers)
+        return executor(max_workers, mp_context=mp_context)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     monkeypatch.setattr(randic.enumeration.os, "sched_getaffinity",

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import multiprocessing
@@ -361,8 +362,13 @@ def test_pool_error_names_its_line(capsys, monkeypatch, started_pools, command):
 
 def test_pool_violation_exits_3(capsys, monkeypatch, started_pools):
     # a lower sign helper that reports -1 makes the lower bound of every
-    # graph that is not regular read as violated, in the workers too
+    # graph that is not regular read as violated, in the workers too, which
+    # inherit the patch only when forked, whatever the default start method
     monkeypatch.setattr("randic.bounds._lower_sign", lambda pairs, d, D: -1)
+    spy = concurrent.futures.ProcessPoolExecutor
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda jobs: spy(jobs, mp_context=fork))
     stdin = "\n".join(POOL_G6 * 2) + "\n"
     argv = ["bounds", "--format", "graph6", "--json"]
     one, chunked, pooled = runs_three_ways(capsys, monkeypatch, argv, stdin)
@@ -391,8 +397,10 @@ def test_dead_worker_ends_the_run():
     # a lower sign helper that exits kills each worker that evaluates a
     # graph that is not regular; input of three chunks puts every graph on
     # the 2-worker pool, so the run ends with exit 1 and BrokenProcessPool,
-    # its workers stopped, before the timeout, and prints no row
+    # its workers stopped, before the timeout, and prints no row; the
+    # workers are forked, so that they inherit the patch
     code = ("import multiprocessing, os, sys, randic.bounds, randic.cli\n"
+            "multiprocessing.set_start_method('fork', force=True)\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "randic.bounds._lower_sign = lambda pairs, d, D: os._exit(1)\n"
             "try:\n"

@@ -55,7 +55,7 @@ def test_walk_key_is_histogram_and_connectivity():
     # the key is one-to-one with (per-edge degree-pair counts, connected)
     for n in range(2, 7):
         by_key, by_fact = {}, {}
-        for edges, _, key, _ in _walk(n, None, ()):
+        for edges, _, key, _ in _walk(n, ()):
             fact = _fact(n, edges)
             assert by_key.setdefault(key, fact) == fact
             assert by_fact.setdefault(fact, key) == key
@@ -76,7 +76,8 @@ def test_sorted_walk_is_labeled_walk_with_sorted_degrees(connected):
     # the walk yields, in order, the labeled graphs with no isolated vertex
     # whose degrees do not increase in label order, and its weights sum, per
     # degree-pair histogram and connectivity, to all those labeled graphs'
-    # counts; enumerate_graphs, a plain filter, is the labeled stream
+    # counts; enumerate_graphs, a plain filter, is the labeled stream, and
+    # the connected leg keeps the walk's items with bit 0 of their key set
     for n in range(2, 7):
         labeled, expected = Counter(), []
         for g in enumerate_graphs(n, connected=connected, min_degree=1):
@@ -84,7 +85,9 @@ def test_sorted_walk_is_labeled_walk_with_sorted_degrees(connected):
             if _non_increasing(g.degrees):
                 expected.append((g.edges, g.degrees))
         weighted, leaves = Counter(), []
-        for edges, deg, _, weight in _walk(n, connected, ()):
+        for edges, deg, key, weight in _walk(n, ()):
+            if connected and not key & 1:
+                continue
             weighted[_fact(n, edges)] += weight
             leaves.append((tuple(sorted(edges)), deg))
         assert leaves == expected
@@ -97,7 +100,8 @@ def test_sorted_walk_weights_count_labeled_graphs():
     for connected, counts in (
             (None, [1, 4, 41, 768, 27449, 1887284]),
             (True, [1, 4, 38, 728, 26704, 1866256])):
-        assert [sum(weight for *_, weight in _walk(n, connected, ()))
+        assert [sum(weight for _, _, key, weight in _walk(n, ())
+                    if key & 1 or not connected)
                 for n in range(2, 8)] == counts
 
 
@@ -162,18 +166,18 @@ def test_negative_min_degree_refused():
         list(enumerate_graphs(3, min_degree=-1))
 
 
-def _walk_items(n, connected, prefix):
+def _walk_items(n, prefix):
     # the walk's items, each with a copy of its edge list
     return [(tuple(edges), deg, key, weight) for edges, deg, key, weight
-            in _walk(n, connected, prefix)]
+            in _walk(n, prefix)]
 
 
 def test_prefix_partitions_cover_disjointly():
-    full = set(_walk_items(4, None, ()))
+    full = set(_walk_items(4, ()))
     parts = []
     for idx in range(8):
         prefix = tuple((idx >> (2 - b)) & 1 for b in range(3))
-        parts.append(set(_walk_items(4, None, prefix)))
+        parts.append(set(_walk_items(4, prefix)))
     union = set()
     for part in parts:
         assert not (union & part)
@@ -184,32 +188,29 @@ def test_prefix_partitions_cover_disjointly():
 def test_pinned_walk_is_unpinned_walk_with_those_first_bits():
     # a prefix pins the first bits, in graph6 pair order, and nothing else:
     # the pinned walk yields, in order, the unpinned walk's items whose
-    # first bits match, and the connected filter keeps the graphs the
-    # naive search calls connected, the key's bit 0
+    # first bits match, and the key's bit 0 is set iff the naive search
+    # calls the graph connected
     for n in range(2, 7):
         pairs = [(i, j) for j in range(1, n) for i in range(j)]
         prefixes = [prefix for k in range(1, min(3, len(pairs)) + 1)
                     for prefix in itertools.product((0, 1), repeat=k)]
-        every = _walk_items(n, None, ())
-        linked = [_naive_connected(n, edges) for edges, *_ in every]
-        assert [key & 1 for _, _, key, _ in every] == linked
+        every = _walk_items(n, ())
+        assert [key & 1 for _, _, key, _ in every] == [
+            _naive_connected(n, edges) for edges, *_ in every]
         # each item's first three bits
         heads = [tuple(int(e in edges) for e in pairs[:3])
                  for edges, *_ in every]
-        for connected in (None, True, False):
-            kept = [i for i, c in enumerate(linked) if connected in (None, c)]
-            assert _walk_items(n, connected, ()) == [every[i] for i in kept]
-            for prefix in prefixes:
-                assert _walk_items(n, connected, prefix) == [
-                    every[i] for i in kept
-                    if heads[i][:len(prefix)] == prefix]
+        for prefix in prefixes:
+            assert _walk_items(n, prefix) == [
+                item for item, head in zip(every, heads)
+                if head[:len(prefix)] == prefix]
 
 
 def test_prefix_validation():
     with pytest.raises(ValueError):
-        list(_walk(3, None, (0, 1, 0, 1)))
+        list(_walk(3, (0, 1, 0, 1)))
     with pytest.raises(ValueError):
-        list(_walk(3, None, (2,)))
+        list(_walk(3, (2,)))
 
 
 # ── Canonical witness form ────────────────────────────────────────────

@@ -36,7 +36,6 @@ RECORD_TYPES = (RandicValue, BoundsReport, DegreeProfile, BiregularCertificate,
 def _parsed_graph():
     g = parse_edge_list("5\n3 4\n0 1\n1 2\n0 2\n2 3\n")
     assert type(g._us) is array and g._us.typecode == "q"
-    assert "degrees" in vars(g)
     return g
 
 
@@ -95,6 +94,7 @@ def test_graph_attributes_cannot_be_set_or_deleted(g):
 
 def test_parsed_graph_pickle_round_trips():
     g = _parsed_graph()
+    g.degrees  # cached, so that the pickle carries it
     copy = pickle.loads(pickle.dumps(g))
     assert copy == g and hash(copy) == hash(g)
     assert type(copy._us) is array and copy._us.typecode == "q"
